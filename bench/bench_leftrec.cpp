@@ -111,7 +111,7 @@ int main() {
     std::function<long(const ParseTree *)> Eval =
         [&](const ParseTree *N) -> long {
       if (N->isToken())
-        return std::strtol(N->token().Text.c_str(), nullptr, 10);
+        return std::strtol(std::string(N->token().Text).c_str(), nullptr, 10);
       size_t I;
       long V;
       if (N->child(0)->isToken() && N->child(0)->token().Text == "(") {

@@ -42,7 +42,7 @@ WS  : [ \t\r\n]+ -> skip ;
 /// operand head, then (operator, operand) pairs folded left to right.
 double evalNode(const ParseTree *N) {
   if (N->isToken())
-    return std::strtod(N->token().Text.c_str(), nullptr);
+    return std::strtod(std::string(N->token().Text).c_str(), nullptr);
 
   size_t I = 0;
   double V = 0;
@@ -58,7 +58,7 @@ double evalNode(const ParseTree *N) {
     I = 1;
   }
   while (I + 1 < N->numChildren() + 1 && I < N->numChildren()) {
-    const std::string &Op = N->child(I)->token().Text;
+    std::string_view Op = N->child(I)->token().Text;
     double R = evalNode(N->child(I + 1));
     if (Op == "+")
       V += R;

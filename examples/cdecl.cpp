@@ -104,14 +104,14 @@ int main() {
   // because later speculative parses depend on the typedefs it records
   // (paper Section 4.3). Registering a name twice is harmless, which is
   // exactly the paper's point about idempotent/undoable {{...}} actions.
-  std::set<std::string> TypeNames;
+  std::set<std::string, std::less<>> TypeNames;
   SemanticEnv Env;
   Env.definePredicate("isTypeName", [&] {
     return TypeNames.count(Stream.LT(1).Text) > 0;
   });
   Env.defineAction("defineType", [&] {
     // The ID just matched is the previous token.
-    TypeNames.insert(Stream.LT(0).Text);
+    TypeNames.emplace(Stream.LT(0).Text);
   });
 
   DiagnosticEngine ParseDiags;

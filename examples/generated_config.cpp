@@ -41,11 +41,13 @@ cache.dir = "/tmp/cache"
   for (const llstar::ParseTree *S : Sections) {
     // section : '[' ID ']' entry* ;
     std::printf("  [%s] with %zu entries\n",
-                S->child(1)->token().Text.c_str(), S->numChildren() - 3);
+                std::string(S->child(1)->token().Text).c_str(),
+                S->numChildren() - 3);
   }
   auto Entries = llstar::collectRuleNodes(*Tree, configparser::RULE_entry);
   for (const llstar::ParseTree *E : Entries)
-    std::printf("    %-10s = %s\n", E->child(0)->token().Text.c_str(),
+    std::printf("    %-10s = %s\n",
+                std::string(E->child(0)->token().Text).c_str(),
                 llstar::treeText(*E->child(2)).c_str());
   return 0;
 }

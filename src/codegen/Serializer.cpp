@@ -706,20 +706,14 @@ llstar::deserializeGrammar(std::string_view Text, DiagnosticEngine &Diags,
     return nullptr;
 
   auto Result = std::make_unique<CompiledGrammar>();
-  Result->LexerDfa = regex::CharDfa::fromTables(std::move(LexStates));
-  Result->LexerActions = std::move(Actions);
-  Result->LexerTypes = std::move(Types);
+  Result->Lex = std::make_unique<Lexer>(
+      regex::CharDfa::fromTables(std::move(LexStates)), std::move(Actions),
+      std::move(Types));
   Result->AG = AnalyzedGrammar::fromParts(
       std::move(G), std::move(M), std::move(Dfas),
       RecoverySets::fromTables(std::move(Follow), std::move(ReachesEnd)),
       Backend);
   return Result;
-}
-
-std::vector<Token> CompiledGrammar::tokenize(std::string_view Input,
-                                             DiagnosticEngine &Diags) const {
-  Lexer L(LexerDfa, LexerActions, LexerTypes);
-  return L.tokenize(Input, Diags);
 }
 
 //===----------------------------------------------------------------------===//

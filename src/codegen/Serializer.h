@@ -22,7 +22,6 @@
 
 #include "analysis/AnalyzedGrammar.h"
 #include "lexer/Lexer.h"
-#include "regex/CharDFA.h"
 #include "support/Diagnostics.h"
 
 #include <memory>
@@ -34,14 +33,15 @@ namespace llstar {
 /// A deserialized grammar package: everything needed to lex and parse.
 struct CompiledGrammar {
   std::unique_ptr<AnalyzedGrammar> AG;
-  /// The pre-compiled tokenizer (no regex compilation at load time).
-  regex::CharDfa LexerDfa;
-  std::vector<LexerAction> LexerActions; // per DFA accept tag
-  std::vector<TokenType> LexerTypes;     // per DFA accept tag
+  /// The pre-compiled tokenizer (no regex compilation at load time), built
+  /// once when the grammar is read.
+  std::unique_ptr<Lexer> Lex;
 
-  /// Tokenizes with the precompiled tables.
+  /// Tokenizes with the precompiled tables; the tokens view \p Input.
   std::vector<Token> tokenize(std::string_view Input,
-                              DiagnosticEngine &Diags) const;
+                              DiagnosticEngine &Diags) const {
+    return Lex->tokenize(Input, Diags);
+  }
 };
 
 /// Serializes \p AG plus its compiled lexer \p L into the v1 text format.

@@ -271,8 +271,9 @@ CompiledParser::ColdMatch CompiledParser::coldMismatch(int32_t StateId,
   RepairAction Act = strategy().onMismatch(Ctx);
   if (Act == RepairAction::DeleteToken) {
     // The next token matches: the current one is spurious.
-    Diags.note(Stream.LT(1).Loc,
-               "deleted '" + Stream.LT(1).Text + "' to recover");
+    Diags.note(Stream.LT(1).Loc, "deleted '" +
+                                     std::string(Stream.LT(1).Text) +
+                                     "' to recover");
     skipTokenAsError(Parent);
     ++Stats.TokensDeleted;
     return ColdMatch::MatchNow;
@@ -352,9 +353,9 @@ void CompiledParser::addMissingTokenChild(NodeRef Parent, TokenType Missing) {
     // leaf as synthetic.
     Token Tok = Stream.LT(1);
     Tok.Type = Missing;
-    Tok.Text = "<missing " + AG.grammar().vocabulary().name(Missing) + ">";
+    Tok.Text = AG.grammar().vocabulary().missingText(Missing);
     Parent.Heap->addChild(
-        ParseTree::errorNode(std::move(Tok), ErrorNodeKind::Missing));
+        ParseTree::errorNode(Tok, ErrorNodeKind::Missing));
   } else if (Parent.InArena) {
     Parent.InArena->addChild(
         ArenaParseTree::missingNode(*Opts.TreeArena, Missing, Stream.index()));
@@ -365,9 +366,9 @@ void CompiledParser::addMarkerChild(NodeRef Parent) {
   if (Parent.Heap) {
     Token Tok = Stream.LT(1);
     Tok.Type = TokenInvalid;
-    Tok.Text.clear();
+    Tok.Text = {};
     Parent.Heap->addChild(
-        ParseTree::errorNode(std::move(Tok), ErrorNodeKind::Marker));
+        ParseTree::errorNode(Tok, ErrorNodeKind::Marker));
   } else if (Parent.InArena) {
     Parent.InArena->addChild(
         ArenaParseTree::markerNode(*Opts.TreeArena, Stream.index()));
@@ -585,7 +586,8 @@ void CompiledParser::reportMismatch(TokenType Expected) {
   ++Stats.SyntaxErrors;
   const Token &T = Stream.LT(1);
   // TokenInvalid marks a token-set mismatch; name the token, not the set.
-  Diags.error(T.Loc, "mismatched input '" + T.Text + "' expecting " +
+  Diags.error(T.Loc, "mismatched input '" + std::string(T.Text) +
+                         "' expecting " +
                          (Expected == TokenInvalid
                               ? std::string("a different token")
                               : AG.grammar().vocabulary().name(Expected)));
@@ -602,7 +604,7 @@ void CompiledParser::reportNoViableAlt(int32_t Decision,
   const CState &S = CT.States[CT.DecisionStates[Decision]];
   std::string RuleName =
       S.RuleIndex >= 0 ? AG.grammar().rule(S.RuleIndex).Name : "<none>";
-  Diags.error(T.Loc, "no viable alternative at input '" + T.Text +
+  Diags.error(T.Loc, "no viable alternative at input '" + std::string(T.Text) +
                          "' (rule " + RuleName + ")");
 }
 

@@ -215,8 +215,9 @@ OracleVerdict DifferentialOracle::checkSentence(const std::string &Input) {
           return OracleVerdict::fail(
               "serializer-tokens",
               "compiled lexer token " + std::to_string(I) +
-                  " differs on input <" + Input + ">: '" + Fresh[I].Text +
-                  "' vs '" + Reloaded[I].Text + "'");
+                  " differs on input <" + Input + ">: '" +
+                  std::string(Fresh[I].Text) + "' vs '" +
+                  std::string(Reloaded[I].Text) + "'");
     }
 
     // Parse through the reloaded tables. The deserialized Grammar carries

@@ -10,62 +10,34 @@ using namespace llstar::incremental;
 
 Lexeme IncrementalLexer::scanOne(std::string_view Text, int64_t Pos,
                                  uint32_t &Line, uint32_t &Col) const {
-  // The same fused walk as Lexer::tokenize: maximal munch with the
-  // position snapshotted at every accept, line/column tracking folded in.
-  // The one addition is LookEnd — how far the walk actually read.
-  const std::vector<regex::CharDfaState> &States = Lex.dfa().states();
+  const Lexer::Munch M = Lex.munch(Text, size_t(Pos));
   Lexeme L;
   L.Off = Pos;
+  L.Len = M.Len;
+  L.LookEnd = M.LookEnd;
+  L.Tag = M.Tag;
   L.Line = Line;
   L.Col = Col;
-
-  int32_t State = 0;
-  int32_t Tag = States[0].AcceptTag;
-  int64_t BestLen = Tag >= 0 ? 0 : -1;
-  uint32_t BestLine = Line, BestCol = Col;
-  uint32_t CurLine = Line, CurCol = Col;
-  // Unless the walk dies on a byte below, it ran off the end of input
-  // with a live state: appended bytes could change the match, so the
-  // walk is charged with having examined the end itself.
-  int64_t LookEnd = int64_t(Text.size()) + 1;
-  for (size_t I = size_t(Pos); I < Text.size(); ++I) {
-    State = States[size_t(State)].Next[static_cast<unsigned char>(Text[I])];
-    if (State < 0) {
-      LookEnd = int64_t(I) + 1;
-      break;
-    }
-    if (Text[I] == '\n') {
-      ++CurLine;
-      CurCol = 0;
-    } else {
-      ++CurCol;
-    }
-    int32_t Accept = States[size_t(State)].AcceptTag;
-    if (Accept >= 0) {
-      BestLen = int64_t(I) - Pos + 1;
-      Tag = Accept;
-      BestLine = CurLine;
-      BestCol = CurCol;
-    }
-  }
-  L.LookEnd = LookEnd;
-  if (BestLen <= 0) {
-    // Unrecognized byte: the batch lexer reports and skips exactly one.
-    L.Tag = -1;
-    L.Len = 1;
-    if (Text[size_t(Pos)] == '\n') {
-      ++Line;
-      Col = 0;
-    } else {
-      ++Col;
-    }
-    return L;
-  }
-  L.Tag = Tag;
-  L.Len = BestLen;
-  Line = BestLine;
-  Col = BestCol;
+  Lexer::advance(Text.substr(size_t(Pos), size_t(M.Len)), Line, Col);
   return L;
+}
+
+bool IncrementalLexer::emits(const Lexeme &L) const {
+  return L.Tag >= 0 && Lex.actions()[size_t(L.Tag)] == LexerAction::Emit;
+}
+
+Token IncrementalLexer::tokenOf(std::string_view Text, const Lexeme &L) const {
+  Token T(Lex.types()[size_t(L.Tag)],
+          Text.substr(size_t(L.Off), size_t(L.Len)),
+          SourceLocation(L.Line, L.Col));
+  T.Offset = L.Off;
+  return T;
+}
+
+void IncrementalLexer::rebase(std::string_view Text) {
+  for (Token &T : Toks)
+    if (!T.isEof())
+      T.Text = Text.substr(size_t(T.Offset), T.Text.size());
 }
 
 size_t IncrementalLexer::firstDamaged(int64_t Offset) const {
@@ -107,20 +79,12 @@ void IncrementalLexer::lexAll(std::string_view Text) {
   EndCol = Col;
   recomputeMaxLook(0);
 
-  const std::vector<LexerAction> &Actions = Lex.actions();
-  const std::vector<TokenType> &Types = Lex.types();
-  for (const Lexeme &L : Lexemes) {
-    if (L.Tag < 0 || Actions[size_t(L.Tag)] != LexerAction::Emit)
-      continue;
-    Token T(Types[size_t(L.Tag)],
-            std::string(Text.substr(size_t(L.Off), size_t(L.Len))),
-            SourceLocation(L.Line, L.Col));
-    T.Offset = L.Off;
-    Toks.push_back(std::move(T));
-  }
-  Token Eof(TokenEof, "<EOF>", SourceLocation(EndLine, EndCol));
+  for (const Lexeme &L : Lexemes)
+    if (emits(L))
+      Toks.push_back(tokenOf(Text, L));
+  Token Eof(TokenEof, EofText, SourceLocation(EndLine, EndCol));
   Eof.Offset = int64_t(Text.size());
-  Toks.push_back(std::move(Eof));
+  Toks.push_back(Eof);
   for (size_t I = 0; I < Toks.size(); ++I)
     Toks[I].Index = int64_t(I);
 }
@@ -198,9 +162,6 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
       Resynced ? tokLowerBound(Lexemes[OldSuffix].Off) : OldTokCount;
   D.Relexed = int64_t(Fresh.size());
 
-  const std::vector<LexerAction> &Actions = Lex.actions();
-  const std::vector<TokenType> &Types = Lex.types();
-
   // In-place fast path: an edit that kept every downstream byte, line,
   // column, lexeme, and token where it was (the overwhelmingly common
   // overtype) only needs the damaged window overwritten — no vector
@@ -210,22 +171,18 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
       Fresh.size() == OldSuffix - First) {
     int64_t FreshEmitted = 0;
     for (const Lexeme &L : Fresh)
-      if (L.Tag >= 0 && Actions[size_t(L.Tag)] == LexerAction::Emit)
+      if (emits(L))
         ++FreshEmitted;
     if (FreshEmitted == D.OldInvalidHi - D.InvalidLo) {
       std::copy(Fresh.begin(), Fresh.end(), Lexemes.begin() + int64_t(First));
       recomputeMaxLook(First);
       int64_t TI = D.InvalidLo;
       for (const Lexeme &L : Fresh) {
-        if (L.Tag < 0 || Actions[size_t(L.Tag)] != LexerAction::Emit)
+        if (!emits(L))
           continue;
-        Token T(Types[size_t(L.Tag)],
-                std::string(NewText.substr(size_t(L.Off), size_t(L.Len))),
-                SourceLocation(L.Line, L.Col));
-        T.Offset = L.Off;
-        T.Index = TI;
-        Toks[size_t(TI)] = std::move(T);
-        ++TI;
+        Token &T = Toks[size_t(TI)];
+        T = tokenOf(NewText, L);
+        T.Index = TI++;
       }
       D.NewInvalidHi = D.OldInvalidHi;
       D.TokenDelta = 0;
@@ -264,30 +221,26 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
   // shifted suffix (which includes EOF when we resynchronized).
   std::vector<Token> NewToks;
   NewToks.reserve(Toks.size() + size_t(std::max<int64_t>(Delta, 0)) + 1);
-  for (int64_t I = 0; I < D.InvalidLo; ++I)
-    NewToks.push_back(std::move(Toks[size_t(I)]));
-  for (const Lexeme &L : Fresh) {
-    if (L.Tag < 0 || Actions[size_t(L.Tag)] != LexerAction::Emit)
-      continue;
-    Token T(Types[size_t(L.Tag)],
-            std::string(NewText.substr(size_t(L.Off), size_t(L.Len))),
-            SourceLocation(L.Line, L.Col));
-    T.Offset = L.Off;
-    NewToks.push_back(std::move(T));
-  }
+  NewToks.insert(NewToks.end(), Toks.begin(), Toks.begin() + D.InvalidLo);
+  for (const Lexeme &L : Fresh)
+    if (emits(L))
+      NewToks.push_back(tokenOf(NewText, L));
   D.NewInvalidHi = int64_t(NewToks.size());
   for (int64_t I = D.OldInvalidHi; I < OldTokCount; ++I) {
-    Token T = std::move(Toks[size_t(I)]);
+    Token T = Toks[size_t(I)];
     T.Offset += Delta;
+    // The bytes are the same, but the buffer and their offset moved.
+    if (!T.isEof())
+      T.Text = NewText.substr(size_t(T.Offset), T.Text.size());
     if (T.Loc.Line == OldResyncLine)
       T.Loc.Column = uint32_t(int64_t(T.Loc.Column) + ColDelta);
     T.Loc.Line = uint32_t(int64_t(T.Loc.Line) + LineDelta);
-    NewToks.push_back(std::move(T));
+    NewToks.push_back(T);
   }
   if (!Resynced) {
-    Token Eof(TokenEof, "<EOF>", SourceLocation(EndLine, EndCol));
+    Token Eof(TokenEof, EofText, SourceLocation(EndLine, EndCol));
     Eof.Offset = int64_t(NewText.size());
-    NewToks.push_back(std::move(Eof));
+    NewToks.push_back(Eof);
     // No old token survived the damage, so the fresh EOF belongs to the
     // damaged window and both retained-suffix ranges are empty.
     D.NewInvalidHi = int64_t(NewToks.size());

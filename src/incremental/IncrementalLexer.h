@@ -32,7 +32,13 @@
 /// The resulting token vector is byte-for-byte the one Lexer::tokenize
 /// would produce for the whole new text — same types, texts, offsets,
 /// line/column positions, and indices — which `llstar-fuzz --edit-smoke`
-/// enforces across random edit scripts.
+/// enforces across random edit scripts. Every walk is Lexer::munch, the
+/// batch lexer's own maximal-munch core, which reports `LookEnd` for
+/// exactly this purpose.
+///
+/// Like the batch lexer's, the tokens view the text they were lexed from:
+/// relex re-points the shifted suffix into the new text, and the owner
+/// calls \ref IncrementalLexer::rebase after moving the text buffer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,6 +105,12 @@ public:
   Damage relex(std::string_view NewText, int64_t Offset, int64_t OldLen,
                int64_t NewLen);
 
+  /// Re-points every token's text at \p Text, the current text at a new
+  /// address. Tokens view the text they were lexed from (Token.h); relex
+  /// re-points the ones it moves, so a full rebase is needed only when the
+  /// owner's buffer itself was reallocated.
+  void rebase(std::string_view Text);
+
   /// Re-reports the "unrecognized character" diagnostics for every error
   /// lexeme, exactly as a from-scratch Lexer::tokenize over \p Text would.
   void emitLexDiagnostics(std::string_view Text, DiagnosticEngine &Diags) const;
@@ -110,10 +122,17 @@ public:
   const std::vector<Lexeme> &lexemes() const { return Lexemes; }
 
 private:
-  /// One maximal-munch walk at \p Pos; \p Line / \p Col are the position
-  /// of \p Pos on entry and of the following lexeme on return.
+  /// One maximal-munch walk at \p Pos (Lexer::munch); \p Line / \p Col
+  /// are the position of \p Pos on entry and of the following lexeme on
+  /// return.
   Lexeme scanOne(std::string_view Text, int64_t Pos, uint32_t &Line,
                  uint32_t &Col) const;
+
+  /// Whether \p L is a parser-visible token.
+  bool emits(const Lexeme &L) const;
+
+  /// The token for emitted lexeme \p L, viewing \p Text (Index unset).
+  Token tokenOf(std::string_view Text, const Lexeme &L) const;
 
   /// Index of the first lexeme whose damage test covers \p Offset
   /// (binary search over the monotonic MaxLook), or lexemes().size().

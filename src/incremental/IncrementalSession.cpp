@@ -4,6 +4,7 @@
 #include "runtime/LLStarParser.h"
 
 #include <chrono>
+#include <cstdint>
 
 using namespace llstar;
 using namespace llstar::incremental;
@@ -51,6 +52,7 @@ EditOutcome IncrementalSession::applyEdit(const Edit &E) {
     O.Error = VE;
     return O;
   }
+  const auto OldData = reinterpret_cast<uintptr_t>(Text.data());
   Text.replace(size_t(E.Offset), size_t(E.OldLen), E.NewText);
   if (!Opts.Reuse) {
     // Baseline mode: behave like an editor without this subsystem —
@@ -59,7 +61,35 @@ EditOutcome IncrementalSession::applyEdit(const Edit &E) {
   }
   IncrementalLexer::Damage D =
       IncLex.relex(Text, E.Offset, E.OldLen, int64_t(E.NewText.size()));
-  return parseCurrent(D, /*Incremental=*/true, StartTime);
+  // Tokens and heap leaves view Text. Relex re-pointed what it re-lexed
+  // or shifted; the retained prefix (and an unshifted suffix) still views
+  // the old buffer, which is only wrong when replace() reallocated it.
+  const bool Moved = reinterpret_cast<uintptr_t>(Text.data()) != OldData;
+  if (Moved)
+    IncLex.rebase(Text);
+  EditOutcome O = parseCurrent(D, /*Incremental=*/true, StartTime);
+  if (Moved && HeapRoot)
+    rebaseLeaves(*HeapRoot);
+  return O;
+}
+
+void IncrementalSession::rebaseLeaves(ParseTree &N) const {
+  if (N.isToken()) {
+    // Conjured and marker leaves carry no input text, and EOF views a
+    // literal; every other leaf views its span of Text.
+    const Token &T = N.token();
+    if (T.isEof() || N.errorKind() == ErrorNodeKind::Missing ||
+        N.errorKind() == ErrorNodeKind::Marker)
+      return;
+    Token Fixed = T;
+    Fixed.Text =
+        std::string_view(Text).substr(size_t(T.Offset), T.Text.size());
+    N.setToken(Fixed);
+    return;
+  }
+  for (size_t I = 0, E = N.numChildren(); I != E; ++I)
+    if (ParseTree *Ch = N.child(I))
+      rebaseLeaves(*Ch);
 }
 
 EditOutcome IncrementalSession::applyBatch(const std::vector<Edit> &Batch) {

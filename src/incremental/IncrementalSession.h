@@ -28,6 +28,14 @@
 /// arenas so splices can copy out of the old tree while the new one is
 /// built), recovery on or off.
 ///
+/// Tokens borrow their text (lexer/Token.h): the session's token vector
+/// and its heap-tree leaves view the session's own text. Relexing
+/// re-points the tokens it re-lexes or shifts, and reused subtrees pick
+/// those up; when an edit makes the text reallocate, the session re-points
+/// every token and leaf at the new buffer. So tokens(), and \ref
+/// ScratchResult::Tokens against the text passed to \ref scratchParse,
+/// stay valid only until the next edit or reset.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LLSTAR_INCREMENTAL_INCREMENTALSESSION_H
@@ -98,6 +106,8 @@ public:
   const std::vector<Token> &tokens() const { return IncLex.tokens(); }
   /// LISP rendering of the current tree ("" before the first reset).
   std::string treeText() const;
+  /// The current tree of a heap-tree session (null for arena sessions).
+  const ParseTree *heapTree() const { return HeapRoot.get(); }
   /// Diagnostics of the last parse (lexer and parser).
   const DiagnosticEngine &diags() const { return Diags; }
   /// Cumulative engine statistics across every parse of this session,
@@ -113,6 +123,9 @@ public:
 private:
   EditOutcome parseCurrent(const IncrementalLexer::Damage &D, bool Incremental,
                            std::chrono::steady_clock::time_point StartTime);
+  /// Re-points the text of every input leaf under \p N at Text, after an
+  /// edit reallocated it.
+  void rebaseLeaves(ParseTree &N) const;
 
   std::shared_ptr<const GrammarBundle> Bundle;
   SessionOptions Opts;

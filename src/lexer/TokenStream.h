@@ -24,6 +24,9 @@ namespace llstar {
 /// A random-access view over a fully lexed token vector.
 ///
 /// The last token must be EOF; LA/LT calls past the end keep returning it.
+/// Whether it owns the vector or borrows it, a stream never owns token
+/// text: its tokens view the lexer's input buffer (lexer/Token.h), which
+/// must outlive the stream and every tree parsed from it.
 class TokenStream {
 public:
   explicit TokenStream(std::vector<Token> Tokens)

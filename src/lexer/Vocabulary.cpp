@@ -17,6 +17,7 @@ TokenType Vocabulary::getOrDefine(const std::string &Name, bool Literal) {
   } else {
     LiteralTexts.push_back("");
   }
+  MissingTexts.push_back("<missing " + Name + ">");
   TokenType Type = TokenType(Names.size());
   ByName.emplace(Name, Type);
   return Type;
@@ -52,4 +53,12 @@ const std::string &Vocabulary::literalText(TokenType Type) const {
   if (!isLiteral(Type))
     return Empty;
   return LiteralTexts[size_t(Type) - 1];
+}
+
+std::string_view Vocabulary::missingText(TokenType Type) const {
+  if (Type == TokenEof)
+    return "<missing EOF>";
+  if (Type < TokenMinUserType || size_t(Type) > Names.size())
+    return "<missing <invalid>>";
+  return MissingTexts[size_t(Type) - 1];
 }

@@ -16,7 +16,9 @@
 
 #include "lexer/Token.h"
 
+#include <deque>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -45,6 +47,11 @@ public:
   /// For literal types, the raw text the literal matches (no quotes).
   const std::string &literalText(TokenType Type) const;
 
+  /// The text of a token conjured by error recovery: "<missing NAME>".
+  /// The string lives as long as the vocabulary and never moves, so
+  /// conjured tokens can view it (see Token.h).
+  std::string_view missingText(TokenType Type) const;
+
   /// Number of defined types; valid types are [1, size()].
   size_t size() const { return Names.size(); }
 
@@ -55,6 +62,9 @@ private:
   std::vector<std::string> Names;        // index = type - 1
   std::vector<bool> LiteralFlags;        // parallel to Names
   std::vector<std::string> LiteralTexts; // parallel; empty when not literal
+  /// Parallel to Names; a deque, so growth never moves a string that a
+  /// conjured token already views.
+  std::deque<std::string> MissingTexts;
   std::unordered_map<std::string, TokenType> ByName;
 };
 

@@ -45,7 +45,7 @@ std::unique_ptr<ParseTree> PackratParser::parse(const std::string &RuleName) {
     const Token &T = Stream.at(Stats.TokensTouched > 0
                                    ? Stats.TokensTouched - 1
                                    : Stream.index());
-    Diags.error(T.Loc, "PEG parse failed near '" + T.Text + "'");
+    Diags.error(T.Loc, "PEG parse failed near '" + std::string(T.Text) + "'");
   }
   LastParseOk = Ok;
   return Root;

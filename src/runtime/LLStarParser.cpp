@@ -221,8 +221,9 @@ bool LLStarParser::runStates(int32_t From, int32_t Until, NodeRef Parent) {
         RepairAction Act = strategy().onMismatch(Ctx);
         if (Act == RepairAction::DeleteToken) {
           // The next token matches: the current one is spurious.
-          Diags.note(Stream.LT(1).Loc,
-                     "deleted '" + Stream.LT(1).Text + "' to recover");
+          Diags.note(Stream.LT(1).Loc, "deleted '" +
+                                           std::string(Stream.LT(1).Text) +
+                                           "' to recover");
           skipTokenAsError(Parent);
           ++Stats.TokensDeleted;
           // Fall through to match the token now at the front.
@@ -320,9 +321,9 @@ void LLStarParser::addMissingTokenChild(NodeRef Parent, TokenType Missing) {
     // leaf as synthetic.
     Token Tok = Stream.LT(1);
     Tok.Type = Missing;
-    Tok.Text = "<missing " + AG.grammar().vocabulary().name(Missing) + ">";
+    Tok.Text = AG.grammar().vocabulary().missingText(Missing);
     Parent.Heap->addChild(
-        ParseTree::errorNode(std::move(Tok), ErrorNodeKind::Missing));
+        ParseTree::errorNode(Tok, ErrorNodeKind::Missing));
   } else if (Parent.InArena) {
     Parent.InArena->addChild(
         ArenaParseTree::missingNode(*Opts.TreeArena, Missing, Stream.index()));
@@ -333,9 +334,9 @@ void LLStarParser::addMarkerChild(NodeRef Parent) {
   if (Parent.Heap) {
     Token Tok = Stream.LT(1);
     Tok.Type = TokenInvalid;
-    Tok.Text.clear();
+    Tok.Text = {};
     Parent.Heap->addChild(
-        ParseTree::errorNode(std::move(Tok), ErrorNodeKind::Marker));
+        ParseTree::errorNode(Tok, ErrorNodeKind::Marker));
   } else if (Parent.InArena) {
     Parent.InArena->addChild(
         ArenaParseTree::markerNode(*Opts.TreeArena, Stream.index()));
@@ -513,7 +514,8 @@ void LLStarParser::reportMismatch(TokenType Expected) {
   ++Stats.SyntaxErrors;
   const Token &T = Stream.LT(1);
   // TokenInvalid marks a token-set mismatch; name the token, not the set.
-  Diags.error(T.Loc, "mismatched input '" + T.Text + "' expecting " +
+  Diags.error(T.Loc, "mismatched input '" + std::string(T.Text) +
+                         "' expecting " +
                          (Expected == TokenInvalid
                               ? std::string("a different token")
                               : AG.grammar().vocabulary().name(Expected)));
@@ -529,7 +531,7 @@ void LLStarParser::reportNoViableAlt(int32_t Decision, int64_t DepthReached) {
   const AtnState &S = M.state(M.decisionState(Decision));
   std::string RuleName =
       S.RuleIndex >= 0 ? AG.grammar().rule(S.RuleIndex).Name : "<none>";
-  Diags.error(T.Loc, "no viable alternative at input '" + T.Text +
+  Diags.error(T.Loc, "no viable alternative at input '" + std::string(T.Text) +
                          "' (rule " + RuleName + ")");
 }
 

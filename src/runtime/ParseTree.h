@@ -7,7 +7,8 @@
 /// \file
 /// Concrete syntax trees built by the LL(*) and packrat parsers during
 /// non-speculative parsing. Nodes are either rule applications or token
-/// leaves.
+/// leaves. A leaf holds a copy of its token, whose text still views the
+/// lexer's input (lexer/Token.h): a tree must not outlive that input.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,21 +43,22 @@ public:
     N->RuleIdx = RuleIndex;
     return N;
   }
-  static std::unique_ptr<ParseTree> tokenNode(Token Tok) {
+  static std::unique_ptr<ParseTree> tokenNode(const Token &Tok) {
     auto N = std::make_unique<ParseTree>();
     N->IsToken = true;
-    N->Tok = std::move(Tok);
+    N->Tok = Tok;
     return N;
   }
   /// An error leaf. \p Tok carries the exact source span: the skipped
   /// token itself, or for Missing/Marker nodes the token at the repair
   /// point (Missing nodes carry the conjured type and a synthetic
   /// `<missing X>` text).
-  static std::unique_ptr<ParseTree> errorNode(Token Tok, ErrorNodeKind Kind) {
+  static std::unique_ptr<ParseTree> errorNode(const Token &Tok,
+                                              ErrorNodeKind Kind) {
     auto N = std::make_unique<ParseTree>();
     N->IsToken = true;
     N->ErrKind = Kind;
-    N->Tok = std::move(Tok);
+    N->Tok = Tok;
     return N;
   }
 
@@ -67,9 +69,9 @@ public:
   const Token &token() const { return Tok; }
   /// Replaces a token leaf's payload; the incremental runtime refreshes
   /// reused leaves this way when an edit shifted the retained suffix.
-  void setToken(Token T) {
+  void setToken(const Token &T) {
     assert(IsToken && "not a token leaf");
-    Tok = std::move(T);
+    Tok = T;
   }
 
   /// The node owning this one, null for a root (or a detached subtree).
@@ -149,10 +151,10 @@ public:
   std::string str(const Grammar &G) const {
     if (IsToken) {
       if (ErrKind == ErrorNodeKind::None)
-        return Tok.Text;
+        return std::string(Tok.Text);
       if (ErrKind == ErrorNodeKind::Marker)
         return "(error)";
-      return "(error " + Tok.Text + ")";
+      return "(error " + std::string(Tok.Text) + ")";
     }
     std::string Out = "(" + G.rule(RuleIdx).Name;
     for (const auto &C : Children) {

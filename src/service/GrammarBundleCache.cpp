@@ -20,9 +20,7 @@ llstar::makeGrammarBundle(std::string_view Bytes, DiagnosticEngine &Diags,
     std::unique_ptr<CompiledGrammar> CG = readBundle(Bytes, Diags);
     if (!CG)
       return nullptr;
-    Bundle->Lex = std::make_unique<Lexer>(std::move(CG->LexerDfa),
-                                          std::move(CG->LexerActions),
-                                          std::move(CG->LexerTypes));
+    Bundle->Lex = std::move(CG->Lex);
     Bundle->AG = std::move(CG->AG);
   } else {
     Bundle->AG = analyzeGrammarText(Bytes, Diags, Backend);

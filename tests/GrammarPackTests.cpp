@@ -34,6 +34,12 @@ struct PackCase {
   std::vector<const char *> Bad;
 };
 
+// Print the grammar file, not the struct's bytes, so each case's name is
+// stable from build to build.
+void PrintTo(const PackCase &C, std::ostream *OS) {
+  *OS << ::testing::PrintToString(C.File);
+}
+
 class GrammarPack : public ::testing::TestWithParam<PackCase> {};
 
 TEST_P(GrammarPack, AnalyzesAndParses) {

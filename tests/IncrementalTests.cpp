@@ -19,6 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <functional>
+#include <sstream>
+
 using namespace llstar;
 using namespace llstar::incremental;
 
@@ -67,8 +71,10 @@ std::string modeName(const SessionOptions &SO) {
 void expectMatchesScratch(const IncrementalSession &S,
                           const SessionOptions &SO, const char *Where) {
   ScratchResult R = scratchParse(S.bundle(), S.text(), SO);
+  const size_t Shown = 400; // large documents would flood the log
   SCOPED_TRACE(std::string(Where) + " [" + modeName(SO) + "] text <" +
-               S.text() + ">");
+               S.text().substr(0, Shown) +
+               (S.text().size() > Shown ? "...>" : ">"));
   EXPECT_EQ(S.ok(), R.ParseOk);
   ASSERT_EQ(S.tokens().size(), R.Tokens.size());
   for (size_t I = 0; I < R.Tokens.size(); ++I) {
@@ -80,6 +86,8 @@ void expectMatchesScratch(const IncrementalSession &S,
     EXPECT_EQ(A.Loc.Line, B.Loc.Line) << "token " << I;
     EXPECT_EQ(A.Loc.Column, B.Loc.Column) << "token " << I;
     EXPECT_EQ(A.Index, B.Index) << "token " << I;
+    if (::testing::Test::HasFailure())
+      break; // one bad token usually means thousands
   }
   EXPECT_EQ(S.treeText(), R.TreeText);
   EXPECT_EQ(S.diags().str(), R.DiagText);
@@ -391,6 +399,135 @@ TEST(IncrementalSessionTest, NoReuseBaselineMatchesToo) {
   ASSERT_EQ(O.Error, EditScriptError::None);
   EXPECT_EQ(O.NodesReused, 0); // baseline never splices
   expectMatchesScratch(S, SO, "no-reuse baseline");
+}
+
+//===----------------------------------------------------------------------===//
+// Token text lifetime: tokens and heap leaves view the session's text
+//===----------------------------------------------------------------------===//
+
+std::shared_ptr<const GrammarBundle> shippedBundle(const std::string &Name) {
+  std::ifstream In(std::string(LLSTAR_SOURCE_DIR) + "/grammars/" + Name);
+  std::ostringstream Text;
+  Text << In.rdbuf();
+  return bundleOrFail(Text.str().c_str());
+}
+
+/// Every token and every heap-tree leaf must view its own span of the
+/// session's current text — the same check as the offset test above, plus
+/// pointer identity, so a view left in a freed buffer cannot pass by luck.
+void expectViewsCurrentText(const IncrementalSession &S, const char *Where) {
+  SCOPED_TRACE(Where);
+  const std::string_view Text = S.text();
+  // Reports the first bad view only: a missed rebase breaks thousands.
+  auto ViewsOwnSpan = [&](const Token &T) {
+    if (T.Offset >= 0 && size_t(T.Offset) + T.Text.size() <= Text.size() &&
+        T.Text.data() == Text.data() + T.Offset &&
+        T.Text == Text.substr(size_t(T.Offset), T.Text.size()))
+      return true;
+    ADD_FAILURE() << "token at offset " << T.Offset
+                  << " does not view its span of the session text";
+    return false;
+  };
+  for (const Token &T : S.tokens()) {
+    if (T.isEof())
+      EXPECT_EQ(T.Text, EofText);
+    else if (!ViewsOwnSpan(T))
+      return;
+  }
+  if (!S.heapTree())
+    return;
+  std::vector<const ParseTree *> Work = {S.heapTree()};
+  while (!Work.empty()) {
+    const ParseTree *N = Work.back();
+    Work.pop_back();
+    if (!N->isToken()) {
+      for (const auto &C : N->children())
+        if (C)
+          Work.push_back(C.get());
+      continue;
+    }
+    if (N->errorKind() == ErrorNodeKind::Missing)
+      EXPECT_EQ(N->token().Text.substr(0, 9), "<missing ");
+    else if (N->errorKind() == ErrorNodeKind::Marker)
+      EXPECT_TRUE(N->token().Text.empty());
+    else if (N->token().isEof())
+      EXPECT_EQ(N->token().Text, EofText);
+    else if (!ViewsOwnSpan(N->token()))
+      return;
+  }
+}
+
+/// Heap and arena trees, interpreted, with recovery.
+std::vector<SessionOptions> heapAndArena() {
+  SessionOptions Heap, Arena;
+  Arena.UseArena = true;
+  return {Heap, Arena};
+}
+
+TEST(IncrementalLifetimeTest, PasteThatMovesTheTextRebasesEveryView) {
+  auto Bundle = shippedBundle("lua.g");
+  ASSERT_TRUE(Bundle);
+  // About 1 MB of mostly comment lines with a statement every so often:
+  // enough to force the text to reallocate, cheap enough to parse.
+  std::string Paste;
+  for (int I = 0; Paste.size() < (1u << 20); ++I)
+    Paste += I % 64 ? "-- filler line of a pasted block of lua\n"
+                    : "z = z + " + std::to_string(I) + "\n";
+  for (const SessionOptions &SO : heapAndArena()) {
+    IncrementalSession S(Bundle, SO);
+    ASSERT_TRUE(S.reset("local x = 1\nprint(x)\nlocal y = x\n").ParseOk);
+    expectViewsCurrentText(S, "reset");
+
+    const char *Before = S.text().data();
+    const int64_t At = int64_t(S.text().find("print"));
+    ASSERT_EQ(S.applyEdit({At, 0, Paste}).Error, EditScriptError::None);
+    ASSERT_NE(S.text().data(), Before) << "the paste did not move the text";
+    expectViewsCurrentText(S, "after paste");
+    expectMatchesScratch(S, SO, "after paste");
+
+    // Edits before and after the pasted block, in place and growing; each
+    // offset is taken from the text as it stands.
+    auto LocalY = [&] { return int64_t(S.text().rfind("local y")); };
+    const std::function<Edit()> Steps[] = {
+        [&] { return Edit{6, 1, "xx"}; },
+        [&] { return Edit{LocalY() + 6, 1, "yy"}; },
+        [&] { return Edit{0, 0, "-- head\n"}; },
+        [&] { return Edit{LocalY() + 8, 0, "\n"}; },
+        [&] { return Edit{int64_t(S.text().size()), 0, "w = 2\n"}; },
+    };
+    for (const auto &Step : Steps) {
+      ASSERT_EQ(S.applyEdit(Step()).Error, EditScriptError::None);
+      expectViewsCurrentText(S, "edit around the paste");
+      expectMatchesScratch(S, SO, "edit around the paste");
+    }
+  }
+}
+
+TEST(IncrementalLifetimeTest, EditsInsideALongJsonString) {
+  auto Bundle = shippedBundle("json.g");
+  ASSERT_TRUE(Bundle);
+  const std::string Body(10000, 'q');
+  const std::string Doc = "{\"k\": \"" + Body + "\", \"n\": [1, 2]}";
+  const int64_t Mid = int64_t(Doc.find('q')) + 5000;
+  for (const SessionOptions &SO : heapAndArena()) {
+    IncrementalSession S(Bundle, SO);
+    ASSERT_TRUE(S.reset(Doc).ParseOk);
+    // The string token's walk runs to its closing quote and one byte past,
+    // so every edit inside the run damages it.
+    const Edit Steps[] = {
+        {Mid, 1, "r"},       // overtype: same length, suffix identical
+        {Mid, 0, "ss"},      // grow inside the run
+        {Mid, 2, ""},        // shrink back
+        {Mid, 0, "\""},      // a quote splits the string: recovery
+        {Mid, 1, ""},        // and joins it again
+        {Mid, 0, "\n\t"},    // control bytes inside the string body
+    };
+    for (const Edit &E : Steps) {
+      ASSERT_EQ(S.applyEdit(E).Error, EditScriptError::None);
+      expectViewsCurrentText(S, "edit inside the string");
+      expectMatchesScratch(S, SO, "edit inside the string");
+    }
+  }
 }
 
 } // namespace

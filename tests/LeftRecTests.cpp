@@ -144,7 +144,7 @@ WS : [ \t\r\n]+ -> skip ;
   std::function<long(const ParseTree *)> Eval =
       [&](const ParseTree *N) -> long {
     if (N->isToken())
-      return std::strtol(N->token().Text.c_str(), nullptr, 10);
+      return std::strtol(std::string(N->token().Text).c_str(), nullptr, 10);
     size_t I = 0;
     long V = 0;
     // Parenthesized head: "(" e ")".
@@ -156,7 +156,7 @@ WS : [ \t\r\n]+ -> skip ;
       I = 1;
     }
     while (I + 1 < N->numChildren() + 1 && I < N->numChildren()) {
-      const std::string &Op = N->child(I)->token().Text;
+      std::string_view Op = N->child(I)->token().Text;
       long R = Eval(N->child(I + 1));
       V = Op == "*" ? V * R : V + R;
       I += 2;

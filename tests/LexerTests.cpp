@@ -92,12 +92,54 @@ TEST(Lexer, EmptyMatchingRuleRejected) {
   EXPECT_TRUE(Diags.contains("empty string"));
 }
 
+TEST(Lexer, RuleWithoutPatternKeepsLaterTagsAligned) {
+  // The DFA tags accepts with the rule index; a rule that fails to compile
+  // must still occupy its slot, or every later rule reads its successor's
+  // action and type (and the last reads past the end).
+  Vocabulary V;
+  LexerSpec Spec;
+  Spec.addRule(V.getOrDefine("A"), re("a"));
+  Spec.addRule(V.getOrDefine("BROKEN"), nullptr);
+  Spec.addRule(V.getOrDefine("WS"), re(" +"), LexerAction::Skip);
+  Spec.addRule(V.getOrDefine("B"), re("b"));
+  DiagnosticEngine Diags;
+  Lexer L(Spec, Diags);
+  EXPECT_TRUE(Diags.contains("has no pattern"));
+  ASSERT_EQ(L.actions().size(), Spec.Rules.size());
+  ASSERT_EQ(L.types().size(), Spec.Rules.size());
+
+  DiagnosticEngine LexDiags;
+  std::vector<Token> Tokens = L.tokenize("a  b", LexDiags);
+  EXPECT_FALSE(LexDiags.hasErrors()) << LexDiags.str();
+  ASSERT_EQ(Tokens.size(), 3u); // a, b, EOF: the spaces are skipped
+  EXPECT_EQ(Tokens[0].Type, V.lookup("A"));
+  EXPECT_EQ(Tokens[1].Type, V.lookup("B"));
+  EXPECT_EQ(Tokens[1].Text, "b");
+  EXPECT_TRUE(Tokens[2].isEof());
+}
+
+TEST(Lexer, TokensViewTheInputBuffer) {
+  Vocabulary V;
+  LexerSpec Spec = basicSpec(V);
+  DiagnosticEngine Diags;
+  Lexer L(Spec, Diags);
+  std::string Input = "int foo\n  42";
+  std::vector<Token> Tokens = L.tokenize(Input, Diags);
+  ASSERT_EQ(Tokens.size(), 4u);
+  for (size_t I = 0; I + 1 < Tokens.size(); ++I)
+    EXPECT_EQ(Tokens[I].Text.data(), Input.data() + Tokens[I].Offset);
+  EXPECT_EQ(Tokens.back().Text, "<EOF>");
+  EXPECT_LE(sizeof(Token), 56u);
+}
+
 TEST(TokenStream, LookaheadAndSeek) {
+  // Tokens view their text; these views point at string literals.
+  const char *Texts[] = {"t0", "t1", "t2"};
   std::vector<Token> Tokens;
   for (int I = 0; I < 3; ++I)
-    Tokens.push_back(Token(TokenType(I + 1), "t" + std::to_string(I),
-                           SourceLocation(1, uint32_t(I))));
-  Tokens.push_back(Token(TokenEof, "<EOF>", SourceLocation(1, 3)));
+    Tokens.push_back(
+        Token(TokenType(I + 1), Texts[I], SourceLocation(1, uint32_t(I))));
+  Tokens.push_back(Token(TokenEof, EofText, SourceLocation(1, 3)));
   for (size_t I = 0; I < Tokens.size(); ++I)
     Tokens[I].Index = int64_t(I);
   TokenStream S(std::move(Tokens));

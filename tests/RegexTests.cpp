@@ -128,6 +128,12 @@ struct PatternCase {
   const char *Pattern;
 };
 
+// Print the pattern, not the struct's bytes, so each case's name is stable
+// from build to build.
+void PrintTo(const PatternCase &C, std::ostream *OS) {
+  *OS << ::testing::PrintToString(C.Pattern);
+}
+
 class RegexEquivalence : public ::testing::TestWithParam<PatternCase> {};
 
 TEST_P(RegexEquivalence, DfaAgreesWithNfaAndMinimized) {

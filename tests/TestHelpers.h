@@ -41,8 +41,10 @@ analyzeWithDiags(const std::string &Text, DiagnosticEngine &Diags) {
 }
 
 /// Tokenizes \p Input with the grammar's lexer; fails the test on errors.
+/// The stream views \p Input, which must outlive it (a string literal, or
+/// a named string — not a temporary).
 inline TokenStream lexOrFail(const AnalyzedGrammar &AG,
-                             const std::string &Input) {
+                             std::string_view Input) {
   DiagnosticEngine Diags;
   Lexer L(AG.grammar().lexerSpec(), Diags);
   std::vector<Token> Tokens = L.tokenize(Input, Diags);

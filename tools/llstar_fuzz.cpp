@@ -453,7 +453,7 @@ std::string checkEditSessionOnce(std::shared_ptr<const GrammarBundle> Bundle,
   std::vector<std::string> TokenTexts;
   for (const Token &T : S.tokens())
     if (!T.isEof())
-      TokenTexts.push_back(T.Text);
+      TokenTexts.emplace_back(T.Text);
 
   for (int K = 0; K < EditsPerSession; ++K) {
     incremental::Edit E = randomEdit(Rng, S.text(), TokenTexts);
