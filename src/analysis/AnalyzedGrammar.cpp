@@ -5,14 +5,12 @@
 #include "leftrec/LeftRecursionRewriter.h"
 #include "support/StringUtils.h"
 
-#include <algorithm>
 #include <chrono>
 
 using namespace llstar;
 
 std::unique_ptr<AnalyzedGrammar>
-AnalyzedGrammar::analyze(std::unique_ptr<Grammar> G, DiagnosticEngine &Diags,
-                         BackendKind Backend) {
+AnalyzedGrammar::analyze(std::unique_ptr<Grammar> G, DiagnosticEngine &Diags) {
   if (!G)
     return nullptr;
   auto Start = std::chrono::steady_clock::now();
@@ -27,14 +25,12 @@ AnalyzedGrammar::analyze(std::unique_ptr<Grammar> G, DiagnosticEngine &Diags,
   auto AG = std::unique_ptr<AnalyzedGrammar>(new AnalyzedGrammar());
   AG->G = std::move(G);
   AG->M = buildAtn(*AG->G);
-  AG->Backend = Backend;
 
-  const AnalysisBackend &B = analysisBackend(Backend);
   AnalysisOptions Opts = AnalysisOptions::fromGrammar(AG->G->Options);
   AG->Reports.resize(AG->M->numDecisions());
   for (size_t D = 0; D < AG->M->numDecisions(); ++D)
     AG->Dfas.push_back(
-        B.analyzeDecision(*AG->M, int32_t(D), Opts, Diags, &AG->Reports[D]));
+        analyzeDecision(*AG->M, int32_t(D), Opts, Diags, &AG->Reports[D]));
 
   AG->computeStats();
   AG->Recovery = RecoverySets::compute(*AG->M);
@@ -50,13 +46,11 @@ AnalyzedGrammar::analyze(std::unique_ptr<Grammar> G, DiagnosticEngine &Diags,
 std::unique_ptr<AnalyzedGrammar>
 AnalyzedGrammar::fromParts(std::unique_ptr<Grammar> G, std::unique_ptr<Atn> M,
                            std::vector<std::unique_ptr<LookaheadDfa>> Dfas,
-                           std::unique_ptr<RecoverySets> Recovery,
-                           BackendKind Backend) {
+                           std::unique_ptr<RecoverySets> Recovery) {
   auto AG = std::unique_ptr<AnalyzedGrammar>(new AnalyzedGrammar());
   AG->G = std::move(G);
   AG->M = std::move(M);
   AG->Dfas = std::move(Dfas);
-  AG->Backend = Backend;
   AG->Reports.resize(AG->Dfas.size());
   AG->computeStats();
   AG->Recovery =
@@ -68,17 +62,13 @@ AnalyzedGrammar::fromParts(std::unique_ptr<Grammar> G, std::unique_ptr<Atn> M,
 void AnalyzedGrammar::computeStats() {
   StaticStats &S = Stats;
   S = StaticStats();
-  S.Backend = backendName();
   S.NumDecisions = int32_t(Dfas.size());
-  int64_t SumK = 0;
   for (const auto &Dfa : Dfas) {
     S.TotalDfaStates += int64_t(Dfa->numStates());
     switch (Dfa->decisionClass()) {
     case DecisionClass::FixedK:
       ++S.NumFixed;
       ++S.FixedKHistogram[Dfa->fixedK()];
-      SumK += Dfa->fixedK();
-      S.MaxK = std::max(S.MaxK, Dfa->fixedK());
       break;
     case DecisionClass::Cyclic:
       ++S.NumCyclic;
@@ -88,10 +78,6 @@ void AnalyzedGrammar::computeStats() {
       break;
     }
   }
-  S.BacktrackFree = S.NumDecisions - S.NumBacktrack;
-  S.MeanK = S.NumFixed ? double(SumK) / S.NumFixed : 0;
-  for (const DecisionReport &R : Reports)
-    S.CapExceeded += R.CapExceeded;
 }
 
 std::vector<DecisionKey> AnalyzedGrammar::decisionKeys() const {
@@ -115,20 +101,18 @@ std::vector<DecisionKey> AnalyzedGrammar::decisionKeys() const {
 std::string AnalyzedGrammar::summary() const {
   return formatString(
       "grammar %s: %d decisions, %d fixed, %d cyclic, %d backtrack "
-      "(%.1f%% fixed, %.1f%% LL(1)), %lld DFA states, analyzed in %.3fs "
-      "[backend %s]",
+      "(%.1f%% fixed, %.1f%% LL(1)), %lld DFA states, analyzed in %.3fs",
       G->Name.c_str(), Stats.NumDecisions, Stats.NumFixed, Stats.NumCyclic,
       Stats.NumBacktrack, 100 * Stats.fixedFraction(),
       100 * Stats.ll1Fraction(), (long long)Stats.TotalDfaStates,
-      Stats.AnalysisSeconds, backendName());
+      Stats.AnalysisSeconds);
 }
 
 std::unique_ptr<AnalyzedGrammar>
-llstar::analyzeGrammarText(std::string_view Text, DiagnosticEngine &Diags,
-                           BackendKind Backend) {
+llstar::analyzeGrammarText(std::string_view Text, DiagnosticEngine &Diags) {
   std::unique_ptr<Grammar> G =
       parseGrammarText(Text, Diags, /*Validate=*/false);
   if (!G)
     return nullptr;
-  return AnalyzedGrammar::analyze(std::move(G), Diags, Backend);
+  return AnalyzedGrammar::analyze(std::move(G), Diags);
 }

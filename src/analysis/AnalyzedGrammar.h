@@ -24,7 +24,6 @@
 #define LLSTAR_ANALYSIS_ANALYZEDGRAMMAR_H
 
 #include "analysis/DecisionAnalyzer.h"
-#include "analysis/backend/AnalysisBackend.h"
 #include "atn/ATN.h"
 #include "dfa/LookaheadDFA.h"
 #include "grammar/Grammar.h"
@@ -39,8 +38,7 @@
 
 namespace llstar {
 
-/// Aggregate static-analysis statistics (paper Tables 1 and 2), extended
-/// with the per-backend comparison fields bench_backends reports.
+/// Aggregate static-analysis statistics (paper Tables 1 and 2).
 struct StaticStats {
   int32_t NumDecisions = 0;
   int32_t NumFixed = 0;     ///< acyclic, predicate-free DFAs: pure LL(k)
@@ -50,19 +48,8 @@ struct StaticStats {
   std::map<int32_t, int32_t> FixedKHistogram;
   /// Wall-clock seconds spent in grammar analysis + DFA construction.
   double AnalysisSeconds = 0;
-  /// Name of the producing analysis backend ("llstar", "llfinite").
-  std::string Backend = "llstar";
   /// Total lookahead-DFA states across all decisions.
   int64_t TotalDfaStates = 0;
-  /// Decisions whose DFA carries no syntactic-predicate edges: resolved
-  /// without any possibility of backtracking at runtime.
-  int32_t BacktrackFree = 0;
-  /// Max / mean fixed lookahead depth k over the FixedK decisions.
-  int32_t MaxK = 0;
-  double MeanK = 0;
-  /// llfinite: decisions that exceeded the MaxFiniteK depth cap and were
-  /// rebuilt with the llstar construction (see DecisionReport::CapExceeded).
-  int32_t CapExceeded = 0;
 
   double fixedFraction() const {
     return NumDecisions ? double(NumFixed) / NumDecisions : 0;
@@ -78,30 +65,22 @@ struct StaticStats {
 class AnalyzedGrammar {
 public:
   /// Runs the full pipeline on \p G: validation happened at parse time;
-  /// this builds the ATN and a DFA per decision using the prediction
-  /// analysis of \p Backend. Returns null only if \p G is null. Analysis
-  /// warnings accumulate in \p Diags.
+  /// this builds the ATN and a DFA per decision. Returns null only if \p G
+  /// is null. Analysis warnings accumulate in \p Diags.
   static std::unique_ptr<AnalyzedGrammar>
-  analyze(std::unique_ptr<Grammar> G, DiagnosticEngine &Diags,
-          BackendKind Backend = BackendKind::LLStar);
+  analyze(std::unique_ptr<Grammar> G, DiagnosticEngine &Diags);
 
   /// Assembles from already-built parts (the deserializer's entry point;
   /// see codegen/Serializer.h). Recomputes the static statistics. \p
   /// Recovery carries deserialized recovery tables; pass null to recompute
-  /// them from the ATN. \p Backend records which backend produced the
-  /// tables (bundle v3 headers carry it).
+  /// them from the ATN.
   static std::unique_ptr<AnalyzedGrammar>
   fromParts(std::unique_ptr<Grammar> G, std::unique_ptr<Atn> M,
             std::vector<std::unique_ptr<LookaheadDfa>> Dfas,
-            std::unique_ptr<RecoverySets> Recovery = nullptr,
-            BackendKind Backend = BackendKind::LLStar);
+            std::unique_ptr<RecoverySets> Recovery = nullptr);
 
   const Grammar &grammar() const { return *G; }
   const Atn &atn() const { return *M; }
-
-  /// The analysis backend that produced the lookahead DFAs.
-  BackendKind backendKind() const { return Backend; }
-  const char *backendName() const { return llstar::backendName(Backend); }
 
   size_t numDecisions() const { return Dfas.size(); }
   const LookaheadDfa &dfa(int32_t Decision) const {
@@ -140,13 +119,11 @@ private:
   std::vector<DecisionReport> Reports;
   StaticStats Stats;
   std::unique_ptr<RecoverySets> Recovery;
-  BackendKind Backend = BackendKind::LLStar;
 };
 
 /// Convenience: parse + analyze grammar text. Returns null on error.
 std::unique_ptr<AnalyzedGrammar>
-analyzeGrammarText(std::string_view Text, DiagnosticEngine &Diags,
-                   BackendKind Backend = BackendKind::LLStar);
+analyzeGrammarText(std::string_view Text, DiagnosticEngine &Diags);
 
 } // namespace llstar
 

@@ -50,10 +50,6 @@ struct AnalysisOptions {
   /// PEG mode: synthesize auto-backtracking predicates for unresolved
   /// conflicts instead of resolving statically by precedence.
   bool Backtrack = false;
-  /// llfinite backend only: hard cap on finite lookahead depth. States
-  /// still conflicted after this many terminal edges are closed with
-  /// ordered backtracking predicates instead of unrolling further.
-  int32_t MaxFiniteK = 16;
 
   static AnalysisOptions fromGrammar(const GrammarOptions &G) {
     AnalysisOptions O;
@@ -95,12 +91,6 @@ struct DecisionReport {
   bool LikelyNonLLRegular = false;
   /// Closure hit the recursion-depth limit m somewhere.
   bool Overflowed = false;
-  /// llfinite backend only: 1 when the decision failed to separate within
-  /// the MaxFiniteK depth cap (or a resource limit) and was rebuilt with
-  /// the llstar construction instead. A cap artifact of the backend, not
-  /// an ambiguity property of the grammar, so it is deliberately not a
-  /// \ref Resolutions event — lint witnesses stay backend-stable.
-  int32_t CapExceeded = 0;
 };
 
 /// Builds the lookahead DFA for \p Decision of \p M. Warnings (ambiguity,

@@ -273,6 +273,13 @@ bool validateTables(const Grammar &G, const Atn &M, int64_t NumActions,
 //===----------------------------------------------------------------------===//
 
 std::string llstar::serializeGrammar(const AnalyzedGrammar &AG) {
+  DiagnosticEngine LexDiags;
+  Lexer L(AG.grammar().lexerSpec(), LexDiags);
+  return serializeGrammar(AG, L);
+}
+
+std::string llstar::serializeGrammar(const AnalyzedGrammar &AG,
+                                     const Lexer &L) {
   const Grammar &G = AG.grammar();
   const Atn &M = AG.atn();
   Writer W;
@@ -403,8 +410,6 @@ std::string llstar::serializeGrammar(const AnalyzedGrammar &AG) {
   }
 
   // Compiled lexer tables (sparse edge encoding).
-  DiagnosticEngine LexDiags;
-  Lexer L(G.lexerSpec(), LexDiags);
   W.word("lexer");
   W.num(int64_t(L.dfa().size()));
   W.nl();
@@ -456,8 +461,7 @@ std::string llstar::serializeGrammar(const AnalyzedGrammar &AG) {
 //===----------------------------------------------------------------------===//
 
 std::unique_ptr<CompiledGrammar>
-llstar::deserializeGrammar(std::string_view Text, DiagnosticEngine &Diags,
-                           BackendKind Backend) {
+llstar::deserializeGrammar(std::string_view Text, DiagnosticEngine &Diags) {
   Reader R(Text, Diags);
   if (!R.word(Magic))
     return nullptr;
@@ -711,8 +715,7 @@ llstar::deserializeGrammar(std::string_view Text, DiagnosticEngine &Diags,
       std::move(Types));
   Result->AG = AnalyzedGrammar::fromParts(
       std::move(G), std::move(M), std::move(Dfas),
-      RecoverySets::fromTables(std::move(Follow), std::move(ReachesEnd)),
-      Backend);
+      RecoverySets::fromTables(std::move(Follow), std::move(ReachesEnd)));
   return Result;
 }
 
@@ -733,9 +736,7 @@ std::string llstar::writeBundle(const AnalyzedGrammar &AG) {
   Out += std::to_string(Payload.size());
   Out += ' ';
   Out += std::to_string(hashBytes(Payload));
-  Out += ' ';
-  Out += AG.backendName();
-  Out += '\n';
+  Out += " llstar\n";
   Out += Payload;
   return Out;
 }
@@ -757,11 +758,11 @@ std::unique_ptr<CompiledGrammar> llstar::readBundle(std::string_view Bytes,
   }
 
   // Header fields: version, payload size, payload hash — all decimal —
-  // plus, in v3, the producing-backend word.
+  // plus, in v3, the analysis word.
   std::string_view Header = Bytes.substr(
       std::strlen(BundleMagic), HeaderEnd - std::strlen(BundleMagic));
   uint64_t Fields[3] = {0, 0, 0};
-  std::string BackendWord;
+  std::string_view AnalysisWord;
   {
     size_t P = 0;
     for (uint64_t &F : Fields) {
@@ -787,7 +788,7 @@ std::unique_ptr<CompiledGrammar> llstar::readBundle(std::string_view Bytes,
     size_t WordEnd = P;
     while (WordEnd < Header.size() && Header[WordEnd] != ' ')
       ++WordEnd;
-    BackendWord = std::string(Header.substr(P, WordEnd - P));
+    AnalysisWord = Header.substr(P, WordEnd - P);
     P = WordEnd;
     while (P < Header.size() && Header[P] == ' ')
       ++P;
@@ -797,28 +798,26 @@ std::unique_ptr<CompiledGrammar> llstar::readBundle(std::string_view Bytes,
     }
   }
 
-  // v2 headers end at the hash (the backend is implicitly llstar); v3
-  // appends the backend word. Everything else is from the future.
+  // v2 headers end at the hash; v3 appends the word naming the analysis
+  // that built the tables. Everything else is from the future.
   if (int64_t(Fields[0]) != 2 && int64_t(Fields[0]) != BundleFormatVersion) {
     Diags.error("unsupported bundle format version " +
                 std::to_string(Fields[0]) + " (this build reads versions 2-" +
                 std::to_string(BundleFormatVersion) + ")");
     return nullptr;
   }
-  BackendKind Backend = BackendKind::LLStar;
   if (int64_t(Fields[0]) == 2) {
-    if (!BackendWord.empty()) {
+    if (!AnalysisWord.empty()) {
       Diags.error("malformed bundle header");
       return nullptr;
     }
-  } else {
-    const AnalysisBackend *B = findAnalysisBackend(BackendWord);
-    if (!B) {
-      Diags.error("bundle names unknown analysis backend '" + BackendWord +
-                  "' (this build knows: " + analysisBackendNames() + ")");
-      return nullptr;
-    }
-    Backend = B->kind();
+  } else if (AnalysisWord != "llstar" && AnalysisWord != "llfinite") {
+    // Bundles written while an LL(finite) analysis shipped name it; their
+    // tables are plain lookahead DFAs and load like any other.
+    Diags.error("bundle names unknown analysis backend '" +
+                std::string(AnalysisWord) +
+                "' (this build knows: llstar, llfinite)");
+    return nullptr;
   }
   std::string_view Payload = Bytes.substr(HeaderEnd + 1);
   if (Payload.size() != Fields[1]) {
@@ -831,5 +830,5 @@ std::unique_ptr<CompiledGrammar> llstar::readBundle(std::string_view Bytes,
     Diags.error("corrupt bundle: payload hash mismatch");
     return nullptr;
   }
-  return deserializeGrammar(Payload, Diags, Backend);
+  return deserializeGrammar(Payload, Diags);
 }

@@ -45,17 +45,19 @@ struct CompiledGrammar {
 };
 
 /// Serializes \p AG plus its compiled lexer \p L into the v1 text format.
+/// \p L must be the lexer of \p AG's grammar (a bundle's or a
+/// deserialized grammar's precompiled one).
+std::string serializeGrammar(const AnalyzedGrammar &AG, const Lexer &L);
+
+/// Same, compiling \p AG's lexer from its grammar's lexer spec first.
 std::string serializeGrammar(const AnalyzedGrammar &AG);
 
 /// Parses the v1 text format; returns null and reports to \p Diags on any
 /// structural error. All table indices (ATN targets, DFA edges, lexer
 /// transitions, rule/predicate/action references) are bounds-checked, so a
 /// corrupt payload is a diagnostic, never undefined behavior at parse time.
-/// \p Backend records which analysis backend produced the tables (readBundle
-/// forwards the v3 header word; bare payloads default to llstar).
-std::unique_ptr<CompiledGrammar>
-deserializeGrammar(std::string_view Text, DiagnosticEngine &Diags,
-                   BackendKind Backend = BackendKind::LLStar);
+std::unique_ptr<CompiledGrammar> deserializeGrammar(std::string_view Text,
+                                                    DiagnosticEngine &Diags);
 
 //===----------------------------------------------------------------------===//
 // Bundle container
@@ -64,20 +66,22 @@ deserializeGrammar(std::string_view Text, DiagnosticEngine &Diags,
 // The on-disk / over-the-wire form used by the parse service and the
 // `llstar compile` command: a versioned header line
 //
-//   llstarbundle <format-version> <payload-bytes> <payload-fnv1a> <backend>\n
+//   llstarbundle <format-version> <payload-bytes> <payload-fnv1a> llstar\n
 //
 // followed by the serialized-grammar payload. The header lets loaders
 // reject wrong-version and corrupt (truncated, bit-flipped) bundles with a
-// clean diagnostic before touching the payload parser. The trailing
-// backend word is new in v3 and names the prediction-analysis backend
-// that produced the lookahead DFAs ("llstar", "llfinite"); it lives in
-// the container, not the payload, so payload bytes — and the checked-in
-// compiled-module hashes keyed on them — are identical across versions.
+// clean diagnostic before touching the payload parser. The trailing word
+// is new in v3 and names the analysis that produced the lookahead DFAs;
+// the writer always emits `llstar`. The reader also accepts the word of
+// the retired LL(finite) analysis, whose bundles carry the same
+// lookahead-DFA tables. It lives in the container, not the payload, so
+// payload bytes — and the checked-in compiled-module hashes keyed on
+// them — are identical across versions.
 
 /// Version stamped into bundle headers written by \ref writeBundle.
 /// v2 added the `recover` payload section (per-state recovery tables);
-/// v3 added the producing-backend word to the container header (v2
-/// bundles still load, implying the llstar backend).
+/// v3 added the analysis word to the container header (v2 bundles still
+/// load).
 constexpr int64_t BundleFormatVersion = 3;
 
 /// Serializes \p AG and wraps it in the versioned bundle container.

@@ -1,6 +1,5 @@
 #include "fuzz/DifferentialOracle.h"
 
-#include "lexer/Lexer.h"
 #include "lexer/TokenStream.h"
 #include "peg/PackratParser.h"
 #include "runtime/LLStarParser.h"
@@ -17,26 +16,22 @@ DifferentialOracle::DifferentialOracle(std::string GrammarText)
     GrammarErr = Diags.str();
     return;
   }
+  Lex = std::make_unique<Lexer>(AG->grammar().lexerSpec(), Diags);
+  if (Diags.hasErrors()) {
+    AG = nullptr;
+    GrammarErr = Diags.str();
+    return;
+  }
   for (const Rule &R : AG->grammar().rules())
     if (R.IsPrecedenceRule)
       TreesCmp = false;
-
-  // The LL(finite) twin for the three-way comparison. llstar accepted the
-  // grammar, so llfinite must too; a failure here is reported by
-  // checkGrammar as a backend bug, not a generator bug.
-  DiagnosticEngine FiniteDiags;
-  FiniteAG = analyzeGrammarText(Text, FiniteDiags, BackendKind::LLFinite);
-  if (!FiniteAG || FiniteDiags.hasErrors()) {
-    FiniteAG = nullptr;
-    FiniteErr = FiniteDiags.str();
-  }
 }
 
 OracleVerdict DifferentialOracle::checkGrammar() {
   // Determinism: a second analysis of the same text must serialize to the
   // same bytes — ATN construction, subset construction, and DFA encoding
   // may not depend on iteration order of hashed containers.
-  std::string First = serializeGrammar(*AG);
+  std::string First = serializeGrammar(*AG, *Lex);
   {
     DiagnosticEngine Diags;
     auto AG2 = analyzeGrammarText(Text, Diags);
@@ -57,24 +52,6 @@ OracleVerdict DifferentialOracle::checkGrammar() {
     }
   }
 
-  // Backend totality: llstar analyzed this grammar, so llfinite must too.
-  if (!FiniteAG)
-    return OracleVerdict::fail("backend-analyze",
-                               "llfinite backend failed on a grammar llstar "
-                               "accepted:\n" +
-                                   FiniteErr);
-
-  // llfinite determinism, same contract as llstar above.
-  {
-    std::string FiniteFirst = serializeGrammar(*FiniteAG);
-    DiagnosticEngine Diags;
-    auto F2 = analyzeGrammarText(Text, Diags, BackendKind::LLFinite);
-    if (!F2 || Diags.hasErrors() || serializeGrammar(*F2) != FiniteFirst)
-      return OracleVerdict::fail(
-          "nondeterministic-analysis",
-          "two llfinite DFA constructions of the same text differ");
-  }
-
   // Serializer round-trip: the compiled form must load back cleanly. The
   // loaded grammar also drives the per-sentence re-prediction check.
   DiagnosticEngine Diags;
@@ -91,23 +68,15 @@ OracleVerdict DifferentialOracle::checkGrammar() {
 namespace {
 
 struct ParseOutcome {
-  bool LexOk = false;
   bool Ok = false;
   std::string Tree;
   std::string Diags;
 };
 
-ParseOutcome runLLStar(const AnalyzedGrammar &AG, const std::string &Input) {
+ParseOutcome runLLStar(const AnalyzedGrammar &AG,
+                       const std::vector<Token> &Tokens) {
   ParseOutcome R;
-  DiagnosticEngine LexDiags;
-  Lexer L(AG.grammar().lexerSpec(), LexDiags);
-  std::vector<Token> Tokens = L.tokenize(Input, LexDiags);
-  if (LexDiags.hasErrors()) {
-    R.Diags = LexDiags.str();
-    return R;
-  }
-  R.LexOk = true;
-  TokenStream Stream(std::move(Tokens));
+  TokenStream Stream(Tokens, TokenStream::Borrow{});
   DiagnosticEngine Diags;
   ParserOptions Opts;
   Opts.BuildTree = true;
@@ -122,17 +91,9 @@ ParseOutcome runLLStar(const AnalyzedGrammar &AG, const std::string &Input) {
   return R;
 }
 
-ParseOutcome runPackrat(const Grammar &G, const std::string &Input) {
+ParseOutcome runPackrat(const Grammar &G, const std::vector<Token> &Tokens) {
   ParseOutcome R;
-  DiagnosticEngine LexDiags;
-  Lexer L(G.lexerSpec(), LexDiags);
-  std::vector<Token> Tokens = L.tokenize(Input, LexDiags);
-  if (LexDiags.hasErrors()) {
-    R.Diags = LexDiags.str();
-    return R;
-  }
-  R.LexOk = true;
-  TokenStream Stream(std::move(Tokens));
+  TokenStream Stream(Tokens, TokenStream::Borrow{});
   DiagnosticEngine Diags;
   PackratParser::Options Opts;
   Opts.BuildTree = true;
@@ -148,17 +109,17 @@ ParseOutcome runPackrat(const Grammar &G, const std::string &Input) {
 } // namespace
 
 OracleVerdict DifferentialOracle::checkSentence(const std::string &Input) {
-  ParseOutcome LL = runLLStar(*AG, Input);
-  ParseOutcome Peg = runPackrat(AG->grammar(), Input);
-  LastAccepted = Peg.LexOk && Peg.Ok;
-
-  if (LL.LexOk != Peg.LexOk)
-    return OracleVerdict::fail("lex-mismatch",
-                               "lexers disagree on input <" + Input + ">");
-  if (!LL.LexOk)
-    // Both lexers reject: mutation produced unlexable text; not a parser
-    // disagreement. (Generator-envelope inputs are always lexable.)
+  DiagnosticEngine LexDiags;
+  std::vector<Token> Tokens = Lex->tokenize(Input, LexDiags);
+  LastAccepted = false;
+  if (LexDiags.hasErrors())
+    // Mutation produced unlexable text, which neither engine sees; not a
+    // parser disagreement. (Generator-envelope inputs are always lexable.)
     return OracleVerdict::ok();
+
+  ParseOutcome LL = runLLStar(*AG, Tokens);
+  ParseOutcome Peg = runPackrat(AG->grammar(), Tokens);
+  LastAccepted = Peg.Ok;
 
   if (LL.Ok != Peg.Ok)
     return OracleVerdict::fail(
@@ -174,58 +135,34 @@ OracleVerdict DifferentialOracle::checkSentence(const std::string &Input) {
                                    ">\nLL(*):   " + LL.Tree +
                                    "\npackrat: " + Peg.Tree);
 
-  // Third leg: the same runtime over LL(finite) decision tables must agree
-  // with LL(*) on verdict and tree.
-  if (FiniteAG) {
-    ParseOutcome Fin = runLLStar(*FiniteAG, Input);
-    if (Fin.Ok != LL.Ok)
-      return OracleVerdict::fail(
-          "backend-accept-mismatch",
-          "llfinite " + std::string(Fin.Ok ? "accepts" : "rejects") +
-              " but llstar " + std::string(LL.Ok ? "accepts" : "rejects") +
-              " input <" + Input + ">\nllfinite: " + Fin.Diags +
-              "llstar: " + LL.Diags);
-    if (Fin.Ok && TreesCmp && Fin.Tree != LL.Tree)
-      return OracleVerdict::fail("backend-tree-mismatch",
-                                 "backends build different trees on input <" +
-                                     Input + ">\nllstar:   " + LL.Tree +
-                                     "\nllfinite: " + Fin.Tree);
-  }
-
   // Serializer re-prediction: the deserialized tables must behave like the
   // fresh analysis — same tokens, same verdict, same tree.
   if (CG) {
-    DiagnosticEngine LexDiags;
-    std::vector<Token> Reloaded = CG->tokenize(Input, LexDiags);
-    if (LexDiags.hasErrors())
+    DiagnosticEngine ReloadDiags;
+    std::vector<Token> Reloaded = CG->tokenize(Input, ReloadDiags);
+    if (ReloadDiags.hasErrors())
       return OracleVerdict::fail("serializer-tokens",
                                  "compiled lexer rejects input <" + Input +
-                                     ">:\n" + LexDiags.str());
-    {
-      DiagnosticEngine FreshDiags;
-      Lexer L(AG->grammar().lexerSpec(), FreshDiags);
-      std::vector<Token> Fresh = L.tokenize(Input, FreshDiags);
-      if (Fresh.size() != Reloaded.size())
+                                     ">:\n" + ReloadDiags.str());
+    if (Tokens.size() != Reloaded.size())
+      return OracleVerdict::fail(
+          "serializer-tokens",
+          "compiled lexer token count differs on input <" + Input + ">");
+    for (size_t I = 0; I < Tokens.size(); ++I)
+      if (Tokens[I].Type != Reloaded[I].Type ||
+          Tokens[I].Text != Reloaded[I].Text)
         return OracleVerdict::fail(
             "serializer-tokens",
-            "compiled lexer token count differs on input <" + Input + ">");
-      for (size_t I = 0; I < Fresh.size(); ++I)
-        if (Fresh[I].Type != Reloaded[I].Type ||
-            Fresh[I].Text != Reloaded[I].Text)
-          return OracleVerdict::fail(
-              "serializer-tokens",
-              "compiled lexer token " + std::to_string(I) +
-                  " differs on input <" + Input + ">: '" +
-                  std::string(Fresh[I].Text) + "' vs '" +
-                  std::string(Reloaded[I].Text) + "'");
-    }
+            "compiled lexer token " + std::to_string(I) +
+                " differs on input <" + Input + ">: '" +
+                std::string(Tokens[I].Text) + "' vs '" +
+                std::string(Reloaded[I].Text) + "'");
 
     // Parse through the reloaded tables. The deserialized Grammar carries
     // no LexerSpec — tokens must come from the precompiled lexer DFA.
     ParseOutcome Re;
-    Re.LexOk = true;
     {
-      TokenStream Stream{std::vector<Token>(Reloaded)};
+      TokenStream Stream(Reloaded, TokenStream::Borrow{});
       DiagnosticEngine Diags;
       ParserOptions Opts;
       Opts.BuildTree = true;

@@ -6,24 +6,23 @@
 ///
 /// \file
 /// The conformance oracle of the fuzzing harness. For one grammar it runs
-/// four classes of checks, any failure of which is a bug somewhere in the
+/// three classes of checks, any failure of which is a bug somewhere in the
 /// toolkit (given a generator-envelope grammar, see GrammarGenerator.h):
 ///
-///  1. **Differential (three-way)**: every sentence is parsed by the LL(*)
-///     predictor-driven parser, by the same runtime over LL(finite)
-///     decision tables, and by the packrat/PEG baseline; all three
-///     verdicts must agree, and when they accept (and the grammar has no
+///  1. **Differential**: every sentence is parsed by the LL(*)
+///     predictor-driven parser and by the packrat/PEG baseline; the
+///     verdicts must agree, and when both accept (and the grammar has no
 ///     precedence-rewritten rules, whose trees legitimately differ) the
 ///     parse trees must be identical.
-///  2. **Determinism**: analyzing the same grammar text twice — under
-///     either backend — must produce byte-identical serialized automata
-///     (ATN + every lookahead DFA + lexer DFA).
+///  2. **Determinism**: analyzing the same grammar text twice must produce
+///     byte-identical serialized automata (ATN + every lookahead DFA +
+///     lexer DFA).
 ///  3. **Serializer round-trip**: serialize -> reload -> the compiled
 ///     grammar must tokenize identically and its LL(*) parser must return
 ///     the same verdict and tree as the freshly analyzed grammar.
-///  4. **Backend totality**: a grammar that analyzes under llstar must
-///     analyze under llfinite too (the finite construction never aborts;
-///     anything else is a backend bug).
+///
+/// The grammar's lexer is compiled once, and each sentence is tokenized
+/// once; both engines parse that one token vector.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +31,7 @@
 
 #include "analysis/AnalyzedGrammar.h"
 #include "codegen/Serializer.h"
+#include "lexer/Lexer.h"
 #include "support/Diagnostics.h"
 
 #include <memory>
@@ -79,10 +79,6 @@ public:
 
   const AnalyzedGrammar &analyzed() const { return *AG; }
 
-  /// The LL(finite)-analyzed twin driving the three-way comparison (null
-  /// only when llfinite analysis failed; checkGrammar reports that).
-  const AnalyzedGrammar *finiteAnalyzed() const { return FiniteAG.get(); }
-
   /// True when LL(*) and packrat trees are expected to match: grammars
   /// with precedence-rewritten rules nest operators differently (packrat
   /// ignores precedence predicates), so only verdicts are compared there.
@@ -91,9 +87,8 @@ public:
 private:
   std::string Text;
   std::string GrammarErr;
-  std::string FiniteErr;
   std::unique_ptr<AnalyzedGrammar> AG;
-  std::unique_ptr<AnalyzedGrammar> FiniteAG;
+  std::unique_ptr<Lexer> Lex; ///< compiled from AG's lexer spec
   std::unique_ptr<CompiledGrammar> CG;
   bool TreesCmp = true;
   bool LastAccepted = false;

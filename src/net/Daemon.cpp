@@ -177,7 +177,7 @@ DaemonCounters Daemon::counters() const {
 std::shared_ptr<const GrammarBundle>
 Daemon::loadBundleBytes(std::string_view Bytes, DiagnosticEngine &Diags,
                         bool *WasCached) {
-  auto Bundle = Cache.get(Bytes, Diags, Config.Backend);
+  auto Bundle = Cache.get(Bytes, Diags);
   if (!Bundle)
     return nullptr;
   std::lock_guard<std::mutex> Lock(BundlesMu);

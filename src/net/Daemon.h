@@ -60,10 +60,6 @@ struct DaemonConfig {
   uint16_t Port = 0;
   /// Configuration of the backing ParseService.
   ServiceConfig Service;
-  /// Prediction-analysis backend for grammar *source* loaded over the wire
-  /// or preloaded from the command line; serialized .llb bundles carry
-  /// their producing backend in the v3 container header and ignore this.
-  BackendKind Backend = BackendKind::LLStar;
   /// Outstanding parse requests allowed per connection before the daemon
   /// answers with QueueFull (deterministic per-connection backpressure).
   size_t MaxInFlightPerConn = 256;

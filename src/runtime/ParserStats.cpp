@@ -64,13 +64,8 @@ void appendHist(std::string &Out, const char *Key,
 } // namespace
 
 std::string ParserStats::json(bool IncludeDecisions,
-                              const std::vector<DecisionKey> *Keys,
-                              const char *Backend) const {
+                              const std::vector<DecisionKey> *Keys) const {
   std::string Out = "{";
-  if (Backend) {
-    appendQuoted(Out, "backend", Backend);
-    Out += ',';
-  }
   appendNum(Out, "decisionEvents", totalEvents());
   Out += ',';
   appendNum(Out, "decisionsCovered", decisionsCovered());

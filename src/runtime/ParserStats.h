@@ -26,7 +26,7 @@ namespace llstar {
 /// counts events with lookahead depth exactly i for i < KHistBuckets-1;
 /// the last bucket collects everything deeper. Bounded so the histogram
 /// is a fixed-size array — mergeable and JSON-stable regardless of the
-/// grammar or the backend's depth cap.
+/// grammar.
 constexpr size_t KHistBuckets = 10;
 
 /// Counters for one parsing decision.
@@ -181,7 +181,7 @@ struct ParserStats {
   /// Renders all counters as a JSON object. Keys are emitted in a fixed,
   /// documented order so profile files diff cleanly across runs:
   ///
-  ///   [backend,] decisionEvents, decisionsCovered, avgLookahead,
+  ///   decisionEvents, decisionsCovered, avgLookahead,
   ///   maxLookahead, kHistogram, backtrackEvents, backtrackFraction,
   ///   avgBacktrackLookahead, synPredEvals, memoHits, memoMisses,
   ///   tokensConsumed, syntaxErrors, tokensDeleted, tokensInserted,
@@ -196,12 +196,9 @@ struct ParserStats {
   ///   events, totalK, maxK, kHistogram, backtrackEvents, backtrackTotalK,
   ///   altEvents
   /// in that order. \p Keys, when non-null and long enough, supplies the
-  /// stable \ref DecisionKey identity fields. \p Backend, when non-null,
-  /// is emitted first as a `backend` string — the prediction-analysis
-  /// backend the profiled tables came from.
+  /// stable \ref DecisionKey identity fields.
   std::string json(bool IncludeDecisions = false,
-                   const std::vector<DecisionKey> *Keys = nullptr,
-                   const char *Backend = nullptr) const;
+                   const std::vector<DecisionKey> *Keys = nullptr) const;
 
   void reset() { *this = ParserStats(); }
 };

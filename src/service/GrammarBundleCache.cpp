@@ -9,21 +9,18 @@
 using namespace llstar;
 
 std::shared_ptr<const GrammarBundle>
-llstar::makeGrammarBundle(std::string_view Bytes, DiagnosticEngine &Diags,
-                          BackendKind Backend) {
+llstar::makeGrammarBundle(std::string_view Bytes, DiagnosticEngine &Diags) {
   auto Bundle = std::shared_ptr<GrammarBundle>(new GrammarBundle());
   Bundle->Hash = hashBytes(Bytes);
 
   if (looksLikeBundle(Bytes)) {
-    // Serialized bundles carry their producing backend in the container
-    // header; the caller's preference applies to source text only.
     std::unique_ptr<CompiledGrammar> CG = readBundle(Bytes, Diags);
     if (!CG)
       return nullptr;
     Bundle->Lex = std::move(CG->Lex);
     Bundle->AG = std::move(CG->AG);
   } else {
-    Bundle->AG = analyzeGrammarText(Bytes, Diags, Backend);
+    Bundle->AG = analyzeGrammarText(Bytes, Diags);
     if (!Bundle->AG)
       return nullptr;
     // Compile the lexer once here rather than per request; lexer-spec
@@ -43,19 +40,17 @@ llstar::makeGrammarBundle(std::string_view Bytes, DiagnosticEngine &Diags,
 const compiled::CompiledResolution &GrammarBundle::compiledTables() const {
   std::call_once(CompiledOnce, [this] {
     // The serialized payload keys the module-registry hash gate; one
-    // serialization per bundle, amortized over every request.
-    Compiled = compiled::resolveCompiledTables(*AG, serializeGrammar(*AG));
+    // serialization per bundle, amortized over every request, over the
+    // lexer the bundle already holds.
+    Compiled =
+        compiled::resolveCompiledTables(*AG, serializeGrammar(*AG, *Lex));
   });
   return Compiled;
 }
 
 std::shared_ptr<const GrammarBundle>
-GrammarBundleCache::get(std::string_view Bytes, DiagnosticEngine &Diags,
-                        BackendKind Backend) {
-  // Salt the content hash with the backend: identical grammar source
-  // analyzed under different backends must not alias in the cache.
-  uint64_t Key = hashBytes(Bytes) ^
-                 (uint64_t(Backend) * 0x9e3779b97f4a7c15ull);
+GrammarBundleCache::get(std::string_view Bytes, DiagnosticEngine &Diags) {
+  uint64_t Key = hashBytes(Bytes);
   {
     std::lock_guard<std::mutex> Lock(Mu);
     auto It = Map.find(Key);
@@ -69,7 +64,7 @@ GrammarBundleCache::get(std::string_view Bytes, DiagnosticEngine &Diags,
   // fetching unrelated bundles. Two threads racing on the same new content
   // both load; the first insert wins and the duplicate is dropped.
   std::shared_ptr<const GrammarBundle> Bundle =
-      makeGrammarBundle(Bytes, Diags, Backend);
+      makeGrammarBundle(Bytes, Diags);
 
   std::lock_guard<std::mutex> Lock(Mu);
   if (!Bundle) {
@@ -82,8 +77,8 @@ GrammarBundleCache::get(std::string_view Bytes, DiagnosticEngine &Diags,
 }
 
 std::shared_ptr<const GrammarBundle>
-GrammarBundleCache::getFile(const std::string &Path, DiagnosticEngine &Diags,
-                            BackendKind Backend) {
+GrammarBundleCache::getFile(const std::string &Path,
+                            DiagnosticEngine &Diags) {
   std::ifstream In(Path, std::ios::binary);
   if (!In) {
     Diags.error("cannot read grammar file '" + Path + "'");
@@ -91,7 +86,7 @@ GrammarBundleCache::getFile(const std::string &Path, DiagnosticEngine &Diags,
   }
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
-  return get(Buffer.str(), Diags, Backend);
+  return get(Buffer.str(), Diags);
 }
 
 GrammarBundleCache::CacheStats GrammarBundleCache::stats() const {

@@ -76,7 +76,7 @@ public:
 private:
   friend class GrammarBundleCache;
   friend std::shared_ptr<const GrammarBundle>
-  makeGrammarBundle(std::string_view, DiagnosticEngine &, BackendKind);
+  makeGrammarBundle(std::string_view, DiagnosticEngine &);
 
   GrammarBundle() = default;
 
@@ -89,12 +89,8 @@ private:
 
 /// Builds a bundle from grammar source text or `llstarbundle` bytes
 /// (sniffed), bypassing any cache. Returns null with diagnostics on error.
-/// \p Backend selects the prediction analysis for source-text grammars;
-/// serialized bundles already carry their producing backend in the v3
-/// container header and ignore it.
 std::shared_ptr<const GrammarBundle>
-makeGrammarBundle(std::string_view Bytes, DiagnosticEngine &Diags,
-                  BackendKind Backend = BackendKind::LLStar);
+makeGrammarBundle(std::string_view Bytes, DiagnosticEngine &Diags);
 
 /// A thread-safe cache of grammar bundles keyed by content hash.
 class GrammarBundleCache {
@@ -110,17 +106,13 @@ public:
   /// `llstarbundle` bytes, distinguished by the container magic. Loads and
   /// caches on first sight of the content; later identical content is a
   /// hash lookup. Returns null (with diagnostics in \p Diags) when the
-  /// bytes don't load; failures are not cached. The cache key is salted
-  /// with \p Backend, so the same grammar source analyzed under different
-  /// backends yields distinct cached bundles.
-  std::shared_ptr<const GrammarBundle>
-  get(std::string_view Bytes, DiagnosticEngine &Diags,
-      BackendKind Backend = BackendKind::LLStar);
+  /// bytes don't load; failures are not cached.
+  std::shared_ptr<const GrammarBundle> get(std::string_view Bytes,
+                                           DiagnosticEngine &Diags);
 
   /// Convenience: reads \p Path and calls \ref get.
-  std::shared_ptr<const GrammarBundle>
-  getFile(const std::string &Path, DiagnosticEngine &Diags,
-          BackendKind Backend = BackendKind::LLStar);
+  std::shared_ptr<const GrammarBundle> getFile(const std::string &Path,
+                                               DiagnosticEngine &Diags);
 
   CacheStats stats() const;
   void clear();

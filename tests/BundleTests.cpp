@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <random>
+#include <sstream>
 
 using namespace llstar;
 using namespace llstar::test;
@@ -79,6 +81,41 @@ TEST(BundleTest, RejectsWrongMagicAndVersions) {
   EXPECT_EQ(readBundle(Future, D2), nullptr);
   EXPECT_NE(D2.str().find("unsupported bundle format version"),
             std::string::npos);
+}
+
+TEST(BundleTest, LoadsLegacyAnalysisWordAndRejectsUnknownOnes) {
+  // Bundles written while the LL(finite) analysis shipped name it in the
+  // v3 header. Their tables are plain lookahead DFAs, so they load and
+  // parse like any other bundle; any other word is refused.
+  std::ifstream In(std::string(LLSTAR_SOURCE_DIR) + "/grammars/json.g");
+  std::ostringstream Source;
+  Source << In.rdbuf();
+  auto AG = analyzeOrFail(Source.str());
+  ASSERT_TRUE(AG);
+  std::string Bytes = writeBundle(*AG);
+  size_t HeaderEnd = Bytes.find('\n');
+  ASSERT_EQ(Bytes.substr(0, HeaderEnd).substr(HeaderEnd - 7), " llstar");
+  auto WithWord = [&](const std::string &Word) {
+    return Bytes.substr(0, HeaderEnd - 6) + Word + Bytes.substr(HeaderEnd);
+  };
+
+  DiagnosticEngine Diags;
+  auto CG = readBundle(WithWord("llfinite"), Diags);
+  ASSERT_TRUE(CG) << Diags.str();
+  const std::string Input = R"({"k": [1, 2, {"nested": true}], "s": "v"})";
+  DiagnosticEngine LexDiags;
+  TokenStream Stream(CG->tokenize(Input, LexDiags));
+  DiagnosticEngine ParseDiags;
+  LLStarParser P(*CG->AG, Stream, nullptr, ParseDiags);
+  auto Tree = P.parse("");
+  ASSERT_TRUE(P.ok() && Tree) << ParseDiags.str();
+  EXPECT_EQ(Tree->str(CG->AG->grammar()), parseToString(*AG, Input));
+
+  DiagnosticEngine Bogus;
+  EXPECT_EQ(readBundle(WithWord("bogus"), Bogus), nullptr);
+  EXPECT_NE(Bogus.str().find("unknown analysis backend 'bogus'"),
+            std::string::npos)
+      << Bogus.str();
 }
 
 TEST(BundleTest, RejectsHeaderOverflowWithoutThrowing) {

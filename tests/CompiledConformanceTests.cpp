@@ -25,6 +25,7 @@
 #include "fuzz/SentenceGen.h"
 #include "fuzz/SentenceSampler.h"
 #include "runtime/Arena.h"
+#include "service/GrammarBundleCache.h"
 
 #include "CompiledManifest.h"
 
@@ -335,6 +336,27 @@ TEST(CompiledConformance, ShippedModulesHashMatchAndAgree) {
     Capture Cmp = runCompiled(*AG, Res.View, Res.Native, C.Input,
                               /*Recover=*/true, ModuleLex.get(), Res.Rules);
     expectIdentical(Int, Cmp, std::string(C.Grammar) + " golden");
+  }
+}
+
+TEST(CompiledConformance, BundlesFromSourceAndBundleBytesHashMatch) {
+  // A bundle serializes over the lexer it already holds. For a bundle read
+  // from `llstarbundle` bytes that is the precompiled lexer (its grammar
+  // has no lexer spec), so it must hash-match the shipped module exactly
+  // like the same grammar analyzed from source.
+  compiled::registerShippedGrammars();
+  std::string Text = slurp(std::filesystem::path(LLSTAR_SOURCE_DIR) /
+                           "grammars" / "json.g");
+  auto AG = analyzeOrFail(Text);
+  ASSERT_TRUE(AG);
+  std::string Payload = serializeGrammar(*AG);
+  for (const std::string &Bytes : {Text, writeBundle(*AG)}) {
+    DiagnosticEngine Diags;
+    auto Bundle = makeGrammarBundle(Bytes, Diags);
+    ASSERT_TRUE(Bundle) << Diags.str();
+    EXPECT_EQ(serializeGrammar(Bundle->analyzed(), Bundle->lexer()),
+              Payload);
+    EXPECT_TRUE(Bundle->compiledTables().fromModule());
   }
 }
 

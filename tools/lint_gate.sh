@@ -22,18 +22,13 @@
 #    cost, but the baseline keys (<path>:<line>:<col>:<id>) are
 #    position-based and the baseline is sorted, so the same baseline
 #    accepts both modes. Hotness continuation lines ("    hotness: ...")
-#    are indented and never match the key pattern;
-#  - the gate runs once per prediction-analysis backend (LINT_BACKENDS,
-#    default "llstar llfinite") and the corpus key lists must be
-#    IDENTICAL across backends: lint witnesses are grammar properties,
-#    not artifacts of which backend derived the decision tables.
+#    are indented and never match the key pattern.
 set -u
 
 LLSTAR=$1
 ROOT=$2
 ARTIFACTS=$3
 UPDATE=${4:-}
-BACKENDS=${LINT_BACKENDS:-llstar llfinite}
 
 mkdir -p "$ARTIFACTS"
 BASELINE="$ROOT/tests/lint-baseline.txt"
@@ -53,36 +48,21 @@ profile_args() {
   fi
 }
 
-# --- strict set: must be clean under --werror, under every backend ------
+# --- strict set: must be clean under --werror ---------------------------
 for g in "$ROOT"/grammars/*.g "$ROOT"/examples/grammars/*.g; do
   rel=${g#"$ROOT"/}
   # shellcheck disable=SC2046
   "$LLSTAR" lint "$g" $(profile_args "$g") --fixes --format=sarif \
     -o "$(sarif_name "$rel")" || true
-  for b in $BACKENDS; do
-    # shellcheck disable=SC2046
-    if ! "$LLSTAR" lint "$g" --backend "$b" $(profile_args "$g") --werror \
-        >/dev/null 2>&1; then
-      echo "FAIL (lint --werror, --backend $b): $rel"
-      "$LLSTAR" lint "$g" --backend "$b" 2>&1 | sed 's/^/    /'
-      STATUS=1
-    fi
-  done
+  # shellcheck disable=SC2046
+  if ! "$LLSTAR" lint "$g" $(profile_args "$g") --werror >/dev/null 2>&1; then
+    echo "FAIL (lint --werror): $rel"
+    "$LLSTAR" lint "$g" 2>&1 | sed 's/^/    /'
+    STATUS=1
+  fi
 done
 
-# --- corpus: baseline-gated, keys identical across backends -------------
-corpus_keys() { # $1 = backend; one line per finding, sorted
-  for g in "$ROOT"/tests/corpus/*.g; do
-    # One line per finding: <relpath>:<line>:<col>:<id> (message text is
-    # not part of the key, so rewording a diagnostic does not churn the
-    # baseline; profile re-ranking does not either, since the key list is
-    # sorted).
-    # shellcheck disable=SC2046
-    "$LLSTAR" lint "$g" --backend "$1" $(profile_args "$g") 2>/dev/null |
-      sed -n 's|^.*/\([^/]*\.g\):\([0-9]*\):\([0-9]*\): [a-z]*: .* \[\([a-z-]*\)\]$|tests/corpus/\1:\2:\3:\4|p'
-  done | sort
-}
-
+# --- corpus: baseline-gated ---------------------------------------------
 for g in "$ROOT"/tests/corpus/*.g; do
   rel=${g#"$ROOT"/}
   # shellcheck disable=SC2046
@@ -91,22 +71,15 @@ for g in "$ROOT"/tests/corpus/*.g; do
 done
 
 CURRENT=$(mktemp)
-FIRST_BACKEND=""
-for b in $BACKENDS; do
-  if [ -z "$FIRST_BACKEND" ]; then
-    FIRST_BACKEND=$b
-    corpus_keys "$b" >"$CURRENT"
-    continue
-  fi
-  OTHER=$(mktemp)
-  corpus_keys "$b" >"$OTHER"
-  if ! diff -u "$CURRENT" "$OTHER" >/dev/null; then
-    echo "FAIL: lint findings differ between --backend $FIRST_BACKEND and --backend $b:"
-    diff -u "$CURRENT" "$OTHER" | sed 's/^/    /'
-    STATUS=1
-  fi
-  rm -f "$OTHER"
-done
+for g in "$ROOT"/tests/corpus/*.g; do
+  # One line per finding: <relpath>:<line>:<col>:<id> (message text is
+  # not part of the key, so rewording a diagnostic does not churn the
+  # baseline; profile re-ranking does not either, since the key list is
+  # sorted).
+  # shellcheck disable=SC2046
+  "$LLSTAR" lint "$g" $(profile_args "$g") 2>/dev/null |
+    sed -n 's|^.*/\([^/]*\.g\):\([0-9]*\):\([0-9]*\): [a-z]*: .* \[\([a-z-]*\)\]$|tests/corpus/\1:\2:\3:\4|p'
+done | sort >"$CURRENT"
 
 if [ "$UPDATE" = "--update-baseline" ]; then
   cp "$CURRENT" "$BASELINE"

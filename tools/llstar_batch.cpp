@@ -56,9 +56,6 @@ int usage() {
       "  --compiled        parse with the compiled fast path (checked-in\n"
       "                    dense-table modules when available; identical\n"
       "                    results, higher throughput)\n"
-      "  --backend NAME    prediction-analysis backend for .g grammars\n"
-      "                    (llstar or llfinite; default llstar — .llb\n"
-      "                    bundles carry their backend in the header)\n"
       "  --json-metrics F  write merged service metrics JSON to F (- = stdout)\n"
       "  --stats-out F     write a decision-keyed parse profile to F, the\n"
       "                    merged ParserStats of every worker with stable\n"
@@ -119,7 +116,6 @@ bool expandInput(const std::string &Operand, std::vector<std::string> &Paths) {
 struct Options {
   std::string GrammarArg;
   std::vector<std::string> InputOperands;
-  BackendKind Backend = BackendKind::LLStar;
   int Sample = 0;
   uint64_t Seed = 1;
   int Threads = 0;
@@ -147,8 +143,7 @@ bool writeProfile(const std::string &Path, const GrammarBundle &Bundle,
   std::vector<DecisionKey> Keys = Bundle.analyzed().decisionKeys();
   std::string Json = "{\"llstarProfile\":1,\"grammar\":\"" + Bundle.name() +
                      "\",\"stats\":" +
-                     Stats.json(/*IncludeDecisions=*/true, &Keys,
-                                Bundle.analyzed().backendName()) +
+                     Stats.json(/*IncludeDecisions=*/true, &Keys) +
                      "}";
   if (Path == "-") {
     std::printf("%s\n", Json.c_str());
@@ -280,15 +275,6 @@ int main(int Argc, char **Argv) {
       O.Queue = size_t(std::max<int64_t>(V, 1));
     else if (A == "--start" && I + 1 < Args.size())
       O.StartRule = Args[++I];
-    else if (A == "--backend" && I + 1 < Args.size()) {
-      const AnalysisBackend *B = findAnalysisBackend(Args[++I]);
-      if (!B) {
-        std::fprintf(stderr, "error: unknown backend '%s' (valid: %s)\n",
-                     Args[I].c_str(), analysisBackendNames());
-        return 2;
-      }
-      O.Backend = B->kind();
-    }
     else if (A == "--trees")
       O.Trees = true;
     else if (A == "--recover")
@@ -338,7 +324,7 @@ int main(int Argc, char **Argv) {
     std::sort(GrammarPaths.begin(), GrammarPaths.end());
     for (const std::string &Path : GrammarPaths) {
       DiagnosticEngine Diags;
-      auto Bundle = Cache.getFile(Path, Diags, O.Backend);
+      auto Bundle = Cache.getFile(Path, Diags);
       if (!Bundle) {
         std::fprintf(stderr, "error: failed to load %s\n%s", Path.c_str(),
                      Diags.str().c_str());
@@ -348,7 +334,7 @@ int main(int Argc, char **Argv) {
     }
   } else {
     DiagnosticEngine Diags;
-    auto Bundle = Cache.getFile(O.GrammarArg, Diags, O.Backend);
+    auto Bundle = Cache.getFile(O.GrammarArg, Diags);
     if (!Bundle) {
       std::fprintf(stderr, "error: failed to load %s\n%s",
                    O.GrammarArg.c_str(), Diags.str().c_str());

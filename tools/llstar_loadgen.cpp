@@ -142,8 +142,7 @@ bool writeStatsProfile(const std::string &Path, const GrammarBundle &Bundle,
   std::vector<DecisionKey> Keys = Bundle.analyzed().decisionKeys();
   std::string Json = "{\"llstarProfile\":1,\"grammar\":\"" + Bundle.name() +
                      "\",\"stats\":" +
-                     S.json(/*IncludeDecisions=*/true, &Keys,
-                            Bundle.analyzed().backendName()) +
+                     S.json(/*IncludeDecisions=*/true, &Keys) +
                      "}";
   if (Path == "-") {
     std::printf("%s\n", Json.c_str());

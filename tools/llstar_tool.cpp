@@ -4,23 +4,21 @@
 // DFAs and ATNs, tokenize and parse input files, and compare against the
 // packrat baseline — without writing any C++.
 //
-//   llstar analyze <grammar.g> [--backend <name>] [--dfa [rule]]
+//   llstar analyze <grammar.g> [--dfa [rule]]
 //                  [--dot <decision>] [--atn]
 //   llstar tokens  <grammar.g> <input>
-//   llstar parse   <grammar.g> <input> [--backend <name>] [--start <rule>]
+//   llstar parse   <grammar.g> <input> [--start <rule>]
 //                  [--tree] [--stats] [--stats-json] [--peg] [--no-memoize]
 //                  [--recover]
-//   llstar compile <grammar.g> [--backend <name>] -o <out.llb>
-//   llstar lint    <grammar.g> [--backend <name>]
-//                  [--format=text|json|sarif] [--werror]
+//   llstar compile <grammar.g> -o <out.llb>
+//   llstar lint    <grammar.g> [--format=text|json|sarif] [--werror]
 //                  [--budget <k>] [--dfa-budget <n>] [--profile-notes]
 //                  [--profile <stats.json>]... [--fixes]
 //                  [--apply [--dry-run] [--fix-id <id>]...]
 //                  [--disable <id>[,id...]] [-o <file>]
 //
-// `--backend {llstar,llfinite}` selects the prediction-analysis backend
-// (analyze/parse/compile/lint); every subcommand answers `--help` with its
-// own usage plus the uniform exit-code table.
+// Every subcommand answers `--help` with its own usage plus the uniform
+// exit-code table.
 //
 // Exit codes (all commands): 0 clean, 1 warnings under --werror, 2 errors
 // (unreadable files, grammar errors, failed parses), 3 usage errors.
@@ -80,14 +78,14 @@ void printUsage(std::FILE *Out) {
   std::fprintf(
       Out,
       "usage: llstar <command> ...\n"
-      "  analyze <grammar.g> [--backend <name>] [--dfa [rule]]\n"
+      "  analyze <grammar.g> [--dfa [rule]]\n"
       "          [--dot <decision>] [--atn]\n"
       "      analyze a grammar; print the decision summary, optionally the\n"
       "      lookahead DFA of every decision (or just one rule's), a\n"
       "      Graphviz dump of one decision, or the whole ATN\n"
       "  tokens <grammar.g> <input>\n"
       "      tokenize an input file with the grammar's lexer rules\n"
-      "  parse <grammar.g> <input> [--backend <name>] [--start <rule>]\n"
+      "  parse <grammar.g> <input> [--start <rule>]\n"
       "        [--tree] [--stats] [--stats-json] [--peg] [--no-memoize]\n"
       "        [--recover] [--compiled]\n"
       "      parse an input file; --peg uses the packrat baseline;\n"
@@ -97,10 +95,9 @@ void printUsage(std::FILE *Out) {
       "      --stats-json prints the full ParserStats as JSON;\n"
       "      --recover repairs syntax errors (error leaves in the tree,\n"
       "      sorted diagnostics) and exits 0 instead of 2 (1 with --werror)\n"
-      "  compile <grammar.g> [--backend <name>] -o <out.llb>\n"
+      "  compile <grammar.g> -o <out.llb>\n"
       "      analyze once and write a versioned grammar bundle that\n"
       "      llstar-batch and the ParseService load without re-analysis\n"
-      "      (the v3 bundle header records the producing backend)\n"
       "  compile <grammar.g> --emit-cpp -o <out.cpp>\n"
       "      emit a self-contained C++ module: dense dispatch tables and\n"
       "      switch predictors feeding the compiled parser fast path\n"
@@ -108,8 +105,7 @@ void printUsage(std::FILE *Out) {
       "  generate <grammar.g> <ClassName> [-o <dir>]\n"
       "      emit <dir>/<ClassName>.h/.cpp embedding the precompiled\n"
       "      grammar tables (link against the llstar runtime)\n"
-      "  lint <grammar.g> [--backend <name>] [--format=text|json|sarif]\n"
-      "       [--werror]\n"
+      "  lint <grammar.g> [--format=text|json|sarif] [--werror]\n"
       "       [--budget <k>] [--dfa-budget <n>] [--profile-notes]\n"
       "       [--profile <stats.json>]... [--fixes]\n"
       "       [--apply [--dry-run] [--fix-id <id>]...]\n"
@@ -122,11 +118,9 @@ void printUsage(std::FILE *Out) {
       "      auto-fixes; --apply writes verified fixes back to the\n"
       "      grammar (--dry-run prints a unified diff instead, --fix-id\n"
       "      selects specific fixes)\n"
-      "analyze/parse/compile/lint accept --backend {%s}: the\n"
-      "prediction-analysis backend building the lookahead DFAs (default\n"
-      "llstar); every subcommand answers --help with its own usage\n"
+      "every subcommand answers --help with its own usage\n"
       "%s",
-      analysisBackendNames(), ExitCodesLine);
+      ExitCodesLine);
 }
 
 int usage() {
@@ -140,8 +134,8 @@ int subcommandHelp(const std::string &Cmd) {
   std::string Synopsis;
   if (Cmd == "analyze")
     Synopsis =
-        "usage: llstar analyze <grammar.g> [--backend <name>] [--dfa [rule]]\n"
-        "                      [--dot <decision>] [--atn] [--werror]\n"
+        "usage: llstar analyze <grammar.g> [--dfa [rule]] [--dot <decision>]\n"
+        "                      [--atn] [--werror]\n"
         "analyze a grammar and print the decision summary and per-decision\n"
         "classes; --dfa prints lookahead DFAs, --dot one decision as\n"
         "Graphviz, --atn the whole ATN\n";
@@ -150,26 +144,25 @@ int subcommandHelp(const std::string &Cmd) {
                "tokenize an input file with the grammar's lexer rules\n";
   else if (Cmd == "parse")
     Synopsis =
-        "usage: llstar parse <grammar.g> <input> [--backend <name>]\n"
-        "                    [--start <rule>] [--tree] [--stats]\n"
+        "usage: llstar parse <grammar.g> <input> [--start <rule>]\n"
+        "                    [--tree] [--stats]\n"
         "                    [--stats-json] [--peg] [--no-memoize]\n"
         "                    [--recover] [--compiled] [--werror]\n"
         "parse an input file; --peg uses the packrat baseline, --compiled\n"
         "the dense-table fast path, --recover repairs syntax errors\n";
   else if (Cmd == "compile")
     Synopsis =
-        "usage: llstar compile <grammar.g> [--backend <name>] -o <out.llb>\n"
+        "usage: llstar compile <grammar.g> -o <out.llb>\n"
         "       llstar compile <grammar.g> --emit-cpp -o <out.cpp>\n"
-        "write a versioned grammar bundle (the v3 header records the\n"
-        "producing backend) or emit a self-contained C++ module\n";
+        "write a versioned grammar bundle or emit a self-contained C++\n"
+        "module\n";
   else if (Cmd == "generate")
     Synopsis =
         "usage: llstar generate <grammar.g> <ClassName> [-o <dir>]\n"
         "emit <dir>/<ClassName>.h/.cpp embedding the precompiled tables\n";
   else if (Cmd == "lint")
     Synopsis =
-        "usage: llstar lint <grammar.g> [--backend <name>]\n"
-        "                   [--format=text|json|sarif] [--werror]\n"
+        "usage: llstar lint <grammar.g> [--format=text|json|sarif] [--werror]\n"
         "                   [--budget <k>] [--dfa-budget <n>]\n"
         "                   [--profile-notes] [--profile <stats.json>]...\n"
         "                   [--fixes] [--apply [--dry-run]\n"
@@ -177,16 +170,7 @@ int subcommandHelp(const std::string &Cmd) {
         "                   [-o <file>]\n"
         "run the grammar static-analysis passes; --apply writes verified\n"
         "fixes back to the grammar\n";
-  bool TakesBackend = Cmd == "analyze" || Cmd == "parse" ||
-                      Cmd == "compile" || Cmd == "lint";
-  std::printf("%s%s%s", Synopsis.c_str(),
-              TakesBackend
-                  ? formatString("--backend selects the prediction analysis: "
-                                 "%s (default llstar)\n",
-                                 analysisBackendNames())
-                        .c_str()
-                  : "",
-              ExitCodesLine);
+  std::printf("%s%s", Synopsis.c_str(), ExitCodesLine);
   return ExitClean;
 }
 
@@ -196,25 +180,6 @@ bool wantsHelp(const std::vector<std::string> &Args) {
     if (A == "--help" || A == "-h")
       return true;
   return false;
-}
-
-/// Pulls `--backend <name>` out of \p Args (analyze/parse/compile/lint).
-/// Returns false on an unknown backend name (a usage error).
-bool extractBackend(std::vector<std::string> &Args, BackendKind &Backend) {
-  for (size_t I = 0; I + 1 < Args.size(); ++I) {
-    if (Args[I] != "--backend")
-      continue;
-    const AnalysisBackend *B = findAnalysisBackend(Args[I + 1]);
-    if (!B) {
-      std::fprintf(stderr, "error: unknown backend '%s' (valid: %s)\n",
-                   Args[I + 1].c_str(), analysisBackendNames());
-      return false;
-    }
-    Backend = B->kind();
-    Args.erase(Args.begin() + long(I), Args.begin() + long(I) + 2);
-    return true;
-  }
-  return true;
 }
 
 bool readFile(const std::string &Path, std::string &Out) {
@@ -233,15 +198,14 @@ void printDiags(const DiagnosticEngine &Diags) {
 }
 
 std::unique_ptr<AnalyzedGrammar>
-loadGrammar(const std::string &Path, unsigned *WarningsOut = nullptr,
-            BackendKind Backend = BackendKind::LLStar) {
+loadGrammar(const std::string &Path, unsigned *WarningsOut = nullptr) {
   std::string Text;
   if (!readFile(Path, Text)) {
     std::fprintf(stderr, "error: cannot read %s\n", Path.c_str());
     return nullptr;
   }
   DiagnosticEngine Diags;
-  auto AG = analyzeGrammarText(Text, Diags, Backend);
+  auto AG = analyzeGrammarText(Text, Diags);
   printDiags(Diags);
   if (WarningsOut)
     *WarningsOut = Diags.warningCount();
@@ -260,14 +224,11 @@ const char *className(DecisionClass C) {
   return "?";
 }
 
-int cmdAnalyze(std::vector<std::string> Args) {
-  BackendKind Backend = BackendKind::LLStar;
-  if (!extractBackend(Args, Backend))
-    return usage();
+int cmdAnalyze(const std::vector<std::string> &Args) {
   if (Args.empty())
     return usage();
   unsigned Warnings = 0;
-  auto AG = loadGrammar(Args[0], &Warnings, Backend);
+  auto AG = loadGrammar(Args[0], &Warnings);
   if (!AG)
     return ExitErrors;
 
@@ -335,14 +296,11 @@ int cmdTokens(const std::vector<std::string> &Args) {
   return Diags.hasErrors() ? ExitErrors : ExitClean;
 }
 
-int cmdParse(std::vector<std::string> Args) {
-  BackendKind Backend = BackendKind::LLStar;
-  if (!extractBackend(Args, Backend))
-    return usage();
+int cmdParse(const std::vector<std::string> &Args) {
   if (Args.size() < 2)
     return usage();
   unsigned GrammarWarnings = 0;
-  auto AG = loadGrammar(Args[0], &GrammarWarnings, Backend);
+  auto AG = loadGrammar(Args[0], &GrammarWarnings);
   if (!AG)
     return ExitErrors;
   std::string Input;
@@ -382,13 +340,14 @@ int cmdParse(std::vector<std::string> Args) {
   if (UseCompiled && UsePeg)
     return usage(); // the fast path accelerates the LL(*) engine only
 
+  DiagnosticEngine LexDiags;
+  Lexer L(AG->grammar().lexerSpec(), LexDiags);
   compiled::CompiledResolution Compiled;
   if (UseCompiled) {
     compiled::registerShippedGrammars();
-    Compiled = compiled::resolveCompiledTables(*AG, serializeGrammar(*AG));
+    Compiled = compiled::resolveCompiledTables(*AG, serializeGrammar(*AG, L));
   }
 
-  DiagnosticEngine LexDiags;
   std::vector<Token> Toks;
   if (Compiled.fromModule()) {
     // Hash-matched module: tokenize with its embedded lexer tables (same
@@ -396,7 +355,6 @@ int cmdParse(std::vector<std::string> Args) {
     Toks = compiled::makeModuleLexer(*Compiled.Module)
                ->tokenize(Input, LexDiags);
   } else {
-    Lexer L(AG->grammar().lexerSpec(), LexDiags);
     Toks = L.tokenize(Input, LexDiags);
   }
   TokenStream Stream(std::move(Toks));
@@ -461,9 +419,7 @@ int cmdParse(std::vector<std::string> Args) {
     // the profile joinable by `llstar lint --profile` across runs, worker
     // pools, and daemon fleets.
     std::vector<DecisionKey> Keys = AG->decisionKeys();
-    std::printf("%s\n", Stats.json(/*IncludeDecisions=*/true, &Keys,
-                                   AG->backendName())
-                            .c_str());
+    std::printf("%s\n", Stats.json(/*IncludeDecisions=*/true, &Keys).c_str());
   }
   if (!Ok && !Recover)
     return ExitErrors;
@@ -473,10 +429,7 @@ int cmdParse(std::vector<std::string> Args) {
   return WError && (Warnings || !Ok) ? ExitWarnings : ExitClean;
 }
 
-int cmdCompile(std::vector<std::string> Args) {
-  BackendKind Backend = BackendKind::LLStar;
-  if (!extractBackend(Args, Backend))
-    return usage();
+int cmdCompile(const std::vector<std::string> &Args) {
   if (Args.empty())
     return usage();
   std::string OutPath;
@@ -494,7 +447,7 @@ int cmdCompile(std::vector<std::string> Args) {
   if (OutPath.empty())
     return usage();
   unsigned Warnings = 0;
-  auto AG = loadGrammar(Args[0], &Warnings, Backend);
+  auto AG = loadGrammar(Args[0], &Warnings);
   if (!AG)
     return ExitErrors;
   if (EmitCpp) {
@@ -554,10 +507,7 @@ int cmdGenerate(const std::vector<std::string> &Args) {
   return ExitClean;
 }
 
-int cmdLint(std::vector<std::string> Args) {
-  BackendKind Backend = BackendKind::LLStar;
-  if (!extractBackend(Args, Backend))
-    return usage();
+int cmdLint(const std::vector<std::string> &Args) {
   if (Args.empty())
     return usage();
   std::string Format = "text", OutPath;
@@ -615,7 +565,7 @@ int cmdLint(std::vector<std::string> Args) {
     return ExitErrors;
   }
   DiagnosticEngine Diags;
-  auto AG = analyzeGrammarText(Source, Diags, Backend);
+  auto AG = analyzeGrammarText(Source, Diags);
   if (!AG || Diags.hasErrors()) {
     // Grammar does not even build: report the front end's errors directly.
     printDiags(Diags);

@@ -44,9 +44,6 @@ int usage() {
       "  --max-tokens N    reject inputs longer than N tokens\n"
       "  --max-inflight N  per-connection pipeline cap (default 256)\n"
       "  --compiled        parse with the compiled fast path\n"
-      "  --backend NAME    prediction-analysis backend for .g grammars\n"
-      "                    (llstar or llfinite; default llstar — .llb\n"
-      "                    bundles carry their backend in the header)\n"
       "  --once-drained    exit once a client sends the Drain opcode\n");
   return 2;
 }
@@ -108,15 +105,7 @@ int main(int Argc, char **Argv) {
       Config.MaxInFlightPerConn = size_t(std::max<int64_t>(V, 1));
     else if (A == "--compiled")
       Config.Service.UseCompiled = true;
-    else if (A == "--backend" && I + 1 < Args.size()) {
-      const AnalysisBackend *B = findAnalysisBackend(Args[++I]);
-      if (!B) {
-        std::fprintf(stderr, "error: unknown backend '%s' (valid: %s)\n",
-                     Args[I].c_str(), analysisBackendNames());
-        return 2;
-      }
-      Config.Backend = B->kind();
-    } else if (A == "--once-drained")
+    else if (A == "--once-drained")
       OnceDrained = true;
     else if (!A.empty() && A[0] == '-')
       return usage();
