@@ -57,27 +57,43 @@ size_t IncrementalLexer::lexemeAt(int64_t Off) const {
   return size_t(It - Lexemes.begin());
 }
 
-void IncrementalLexer::recomputeMaxLook(size_t From) {
-  int64_t Cum = From > 0 ? Lexemes[From - 1].MaxLook : 0;
-  for (size_t I = From; I < Lexemes.size(); ++I) {
-    Cum = std::max(Cum, Lexemes[I].LookEnd);
-    Lexemes[I].MaxLook = Cum;
-  }
+/// Replaces V[Lo, Hi) with \p New, moving the elements after Hi at most
+/// once.
+template <typename T>
+static void spliceRange(std::vector<T> &V, size_t Lo, size_t Hi,
+                        const std::vector<T> &New) {
+  const size_t Common = std::min(Hi - Lo, New.size());
+  std::copy(New.begin(), New.begin() + int64_t(Common),
+            V.begin() + int64_t(Lo));
+  if (Common < Hi - Lo)
+    V.erase(V.begin() + int64_t(Lo + Common), V.begin() + int64_t(Hi));
+  else
+    V.insert(V.begin() + int64_t(Hi), New.begin() + int64_t(Common),
+             New.end());
+}
+
+/// Unrecognized-byte lexemes in [B, E).
+static int64_t countErrorLexemes(std::vector<Lexeme>::const_iterator B,
+                                 std::vector<Lexeme>::const_iterator E) {
+  return std::count_if(B, E, [](const Lexeme &L) { return L.Tag < 0; });
 }
 
 void IncrementalLexer::lexAll(std::string_view Text) {
   Lexemes.clear();
   Toks.clear();
+  ErrorLexemes = 0;
   uint32_t Line = 1, Col = 0;
-  int64_t Pos = 0;
+  int64_t Pos = 0, Cum = 0;
   while (Pos < int64_t(Text.size())) {
     Lexeme L = scanOne(Text, Pos, Line, Col);
     Pos += L.Len;
+    Cum = std::max(Cum, L.LookEnd);
+    L.MaxLook = Cum;
+    ErrorLexemes += L.Tag < 0;
     Lexemes.push_back(L);
   }
   EndLine = Line;
   EndCol = Col;
-  recomputeMaxLook(0);
 
   for (const Lexeme &L : Lexemes)
     if (emits(L))
@@ -162,11 +178,15 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
       Resynced ? tokLowerBound(Lexemes[OldSuffix].Off) : OldTokCount;
   D.Relexed = int64_t(Fresh.size());
 
+  ErrorLexemes += countErrorLexemes(Fresh.begin(), Fresh.end()) -
+                  countErrorLexemes(Lexemes.begin() + int64_t(First),
+                                    Lexemes.begin() + int64_t(OldSuffix));
+
   // In-place fast path: an edit that kept every downstream byte, line,
   // column, lexeme, and token where it was (the overwhelmingly common
-  // overtype) only needs the damaged window overwritten — no vector
-  // rebuild, no suffix rewrite, and downstream consumers learn via
-  // SuffixIdentical that reused suffix subtrees need no token fix-up.
+  // overtype) only needs the damaged window overwritten — no suffix
+  // rewrite, and downstream consumers learn via SuffixIdentical that
+  // reused suffix subtrees need no token fix-up.
   if (Resynced && Delta == 0 && LineDelta == 0 && ColDelta == 0 &&
       Fresh.size() == OldSuffix - First) {
     int64_t FreshEmitted = 0;
@@ -175,7 +195,15 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
         ++FreshEmitted;
     if (FreshEmitted == D.OldInvalidHi - D.InvalidLo) {
       std::copy(Fresh.begin(), Fresh.end(), Lexemes.begin() + int64_t(First));
-      recomputeMaxLook(First);
+      // The suffix's LookEnds did not move, so its running maxima are
+      // unchanged from the first one that comes out the same.
+      int64_t Cum = First > 0 ? Lexemes[First - 1].MaxLook : 0;
+      for (size_t I = First; I < Lexemes.size(); ++I) {
+        Cum = std::max(Cum, Lexemes[I].LookEnd);
+        if (I >= OldSuffix && Lexemes[I].MaxLook == Cum)
+          break;
+        Lexemes[I].MaxLook = Cum;
+      }
       int64_t TI = D.InvalidLo;
       for (const Lexeme &L : Fresh) {
         if (!emits(L))
@@ -191,23 +219,6 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
     }
   }
 
-  // Splice the lexeme index.
-  std::vector<Lexeme> NewLex;
-  NewLex.reserve(First + Fresh.size() + (Lexemes.size() - OldSuffix));
-  NewLex.insert(NewLex.end(), Lexemes.begin(), Lexemes.begin() + First);
-  NewLex.insert(NewLex.end(), Fresh.begin(), Fresh.end());
-  for (size_t I = OldSuffix; I < Lexemes.size(); ++I) {
-    Lexeme L = Lexemes[I];
-    L.Off += Delta;
-    L.LookEnd += Delta; // the end-of-input sentinel shifts with the size
-    if (L.Line == OldResyncLine)
-      L.Col = uint32_t(int64_t(L.Col) + ColDelta);
-    L.Line = uint32_t(int64_t(L.Line) + LineDelta);
-    NewLex.push_back(L);
-  }
-  Lexemes = std::move(NewLex);
-  recomputeMaxLook(First);
-
   if (Resynced) {
     if (EndLine == OldResyncLine)
       EndCol = uint32_t(int64_t(EndCol) + ColDelta);
@@ -217,37 +228,54 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
     EndCol = Col;
   }
 
-  // Splice the token vector: retained prefix, freshly lexed middle,
-  // shifted suffix (which includes EOF when we resynchronized).
-  std::vector<Token> NewToks;
-  NewToks.reserve(Toks.size() + size_t(std::max<int64_t>(Delta, 0)) + 1);
-  NewToks.insert(NewToks.end(), Toks.begin(), Toks.begin() + D.InvalidLo);
+  // Splice both vectors in place: the fresh window replaces the damaged
+  // one, then one pass over each retained suffix shifts it.
+  auto ShiftPos = [&](uint32_t &SLine, uint32_t &SCol) {
+    if (SLine == OldResyncLine)
+      SCol = uint32_t(int64_t(SCol) + ColDelta);
+    SLine = uint32_t(int64_t(SLine) + LineDelta);
+  };
+  spliceRange(Lexemes, First, OldSuffix, Fresh);
+  int64_t Cum = First > 0 ? Lexemes[First - 1].MaxLook : 0;
+  const size_t LexSuffix = First + Fresh.size();
+  for (size_t I = First; I < LexSuffix; ++I) {
+    Cum = std::max(Cum, Lexemes[I].LookEnd);
+    Lexemes[I].MaxLook = Cum;
+  }
+  for (size_t I = LexSuffix; I < Lexemes.size(); ++I) {
+    Lexeme &L = Lexemes[I];
+    L.Off += Delta;
+    L.LookEnd += Delta; // the end-of-input sentinel shifts with the size
+    ShiftPos(L.Line, L.Col);
+    Cum = std::max(Cum, L.LookEnd);
+    L.MaxLook = Cum;
+  }
+
+  // The token vector: freshly lexed middle, then the shifted suffix
+  // (which includes EOF when we resynchronized; otherwise no old token
+  // survived the damage, and the fresh EOF belongs to the window).
+  std::vector<Token> FreshToks;
   for (const Lexeme &L : Fresh)
     if (emits(L))
-      NewToks.push_back(tokenOf(NewText, L));
-  D.NewInvalidHi = int64_t(NewToks.size());
-  for (int64_t I = D.OldInvalidHi; I < OldTokCount; ++I) {
-    Token T = Toks[size_t(I)];
+      FreshToks.push_back(tokenOf(NewText, L));
+  if (!Resynced) {
+    Token Eof(TokenEof, EofText, SourceLocation(EndLine, EndCol));
+    Eof.Offset = int64_t(NewText.size());
+    FreshToks.push_back(Eof);
+  }
+  spliceRange(Toks, size_t(D.InvalidLo), size_t(D.OldInvalidHi), FreshToks);
+  D.NewInvalidHi = D.InvalidLo + int64_t(FreshToks.size());
+  for (int64_t I = D.InvalidLo; I < D.NewInvalidHi; ++I)
+    Toks[size_t(I)].Index = I;
+  for (int64_t I = D.NewInvalidHi; I < int64_t(Toks.size()); ++I) {
+    Token &T = Toks[size_t(I)];
     T.Offset += Delta;
     // The bytes are the same, but the buffer and their offset moved.
     if (!T.isEof())
       T.Text = NewText.substr(size_t(T.Offset), T.Text.size());
-    if (T.Loc.Line == OldResyncLine)
-      T.Loc.Column = uint32_t(int64_t(T.Loc.Column) + ColDelta);
-    T.Loc.Line = uint32_t(int64_t(T.Loc.Line) + LineDelta);
-    NewToks.push_back(T);
+    ShiftPos(T.Loc.Line, T.Loc.Column);
+    T.Index = I;
   }
-  if (!Resynced) {
-    Token Eof(TokenEof, EofText, SourceLocation(EndLine, EndCol));
-    Eof.Offset = int64_t(NewText.size());
-    NewToks.push_back(Eof);
-    // No old token survived the damage, so the fresh EOF belongs to the
-    // damaged window and both retained-suffix ranges are empty.
-    D.NewInvalidHi = int64_t(NewToks.size());
-  }
-  Toks = std::move(NewToks);
-  for (int64_t I = D.InvalidLo; I < int64_t(Toks.size()); ++I)
-    Toks[size_t(I)].Index = I;
 
   D.TokenDelta = int64_t(Toks.size()) - OldTokCount;
   D.SuffixIdentical = Resynced && Delta == 0 && LineDelta == 0 &&
@@ -257,6 +285,8 @@ IncrementalLexer::Damage IncrementalLexer::relex(std::string_view NewText,
 
 void IncrementalLexer::emitLexDiagnostics(std::string_view Text,
                                           DiagnosticEngine &Diags) const {
+  if (ErrorLexemes == 0)
+    return;
   for (const Lexeme &L : Lexemes)
     if (L.Tag < 0)
       Diags.error(SourceLocation(L.Line, L.Col),

@@ -141,12 +141,12 @@ private:
   /// Index of the lexeme starting exactly at \p Off, or SIZE_MAX.
   size_t lexemeAt(int64_t Off) const;
 
-  /// Rebuilds MaxLook from \p From to the end.
-  void recomputeMaxLook(size_t From);
-
   const Lexer &Lex;
   std::vector<Lexeme> Lexemes;
   std::vector<Token> Toks; ///< emitted tokens + EOF
+  /// Lexemes with Tag < 0 (unrecognized bytes): emitLexDiagnostics has
+  /// nothing to report, and skips its walk, while this is zero.
+  int64_t ErrorLexemes = 0;
   /// Position one past the final lexeme (the EOF token's location).
   uint32_t EndLine = 1, EndCol = 0;
 };

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <utility>
 
 using namespace llstar;
 using namespace llstar::incremental;
@@ -115,6 +116,24 @@ EditOutcome IncrementalSession::applyBatch(const std::vector<Edit> &Batch) {
   return Sum;
 }
 
+/// The node and error-leaf counts of \p N's subtree, stored in every node
+/// under it that has none: after a parse, exactly the nodes it built.
+static std::pair<size_t, size_t> storeFreshCounts(ParseTree &N) {
+  size_t Nodes, Errors;
+  if (N.storedCounts(Nodes, Errors))
+    return {Nodes, Errors};
+  Nodes = 1;
+  Errors = N.isError() ? 1 : 0;
+  for (size_t I = 0, E = N.numChildren(); I != E; ++I)
+    if (ParseTree *Ch = N.child(I)) {
+      auto [ChNodes, ChErrors] = storeFreshCounts(*Ch);
+      Nodes += ChNodes;
+      Errors += ChErrors;
+    }
+  N.storeCounts(Nodes, Errors);
+  return {Nodes, Errors};
+}
+
 EditOutcome IncrementalSession::parseCurrent(
     const IncrementalLexer::Damage &D, bool Incremental,
     std::chrono::steady_clock::time_point StartTime) {
@@ -201,10 +220,8 @@ EditOutcome IncrementalSession::parseCurrent(
   Delta.merge(S);
 
   EditOutcome O;
-  // Millis covers relex + reparse — the subsystem's actual per-edit work.
-  // The node/error counts below are reporting conveniences that walk the
-  // whole tree; keeping them outside the measured window stops them from
-  // drowning the signal on large trees.
+  // Millis covers relex + reparse. The counts below are taken after the
+  // clock stops, but every caller of applyEdit still waits for them.
   O.Millis = std::chrono::duration<double, std::milli>(
                  std::chrono::steady_clock::now() - StartTime)
                  .count();
@@ -213,9 +230,13 @@ EditOutcome IncrementalSession::parseCurrent(
   O.NodesReused = S.NodesReused;
   O.TokensRelexed = S.TokensRelexed;
   O.DecisionsReparsed = S.DecisionsReparsed;
+  // A heap tree is counted from its fresh nodes: spliced subtrees carry
+  // the counts stored when an earlier parse built them. Arena splices are
+  // copies, so an arena tree is counted whole.
   if (HeapRoot) {
-    O.TreeNodes = int64_t(HeapRoot->size());
-    O.ErrorLeaves = int64_t(HeapRoot->numErrorNodes());
+    auto [Nodes, Errors] = storeFreshCounts(*HeapRoot);
+    O.TreeNodes = int64_t(Nodes);
+    O.ErrorLeaves = int64_t(Errors);
   } else if (ArenaRoot) {
     O.TreeNodes = int64_t(ArenaRoot->size());
     O.ErrorLeaves = int64_t(ArenaRoot->numErrorNodes());

@@ -25,6 +25,16 @@ void ParseRecord::build() {
   }
 }
 
+size_t ParseRecord::longestRun() const {
+  size_t Longest = 0, Run = 0;
+  // Two laps, so a run wrapping past the last slot is counted whole.
+  for (size_t I = 0; I < 2 * Slots.size(); ++I) {
+    Run = Slots[I & Mask].second == Npos ? 0 : Run + 1;
+    Longest = std::max(Longest, Run);
+  }
+  return std::min(Longest, Slots.size());
+}
+
 void ParseRecord::clear() {
   Metas.clear();
   Slots.clear();
@@ -104,8 +114,6 @@ bool ReuseRecorder::tryReuse(int32_t Rule, int32_t Precedence,
   if (MIdx == ParseRecord::Npos)
     return false;
   const NodeMeta &M = C.Prev->Metas[MIdx];
-  if (M.Rule != Rule || M.Prec != Precedence || M.Start != OldStart)
-    return false; // packed-key collision
 
   // Soundness: the node's entire examined window [Start, Reach] must be
   // disjoint from the damaged token range. Before the damage that means

@@ -85,8 +85,9 @@ struct NodeMeta {
 };
 
 /// All reuse metadata harvested from one parse, indexed for the next.
-/// The probe index is a flat open-addressed table (the per-edit rebuild
-/// is on the incremental hot path; node-based maps are too slow there).
+/// The probe index is a flat open-addressed table with linear probing
+/// (the per-edit rebuild is on the incremental hot path; node-based maps
+/// are too slow there).
 struct ParseRecord {
   std::vector<NodeMeta> Metas;
 
@@ -97,8 +98,8 @@ struct ParseRecord {
   }
 
   /// Index into Metas of the entry for (rule, prec, start), or
-  /// \ref Npos. On a packed-key collision the later (outermost) entry
-  /// wins; callers re-check the triple and treat a mismatch as a miss.
+  /// \ref Npos. Of entries sharing a packed key the later (outermost)
+  /// one holds the slot; a probe for any other triple is a miss.
   uint32_t find(int32_t Rule, int32_t Prec, int64_t Start) const {
     if (Slots.empty())
       return Npos;
@@ -106,8 +107,12 @@ struct ParseRecord {
     for (size_t S = slotOf(K);; S = (S + 1) & Mask) {
       if (Slots[S].second == Npos)
         return Npos;
-      if (Slots[S].first == K)
-        return Slots[S].second;
+      if (Slots[S].first == K) {
+        const NodeMeta &M = Metas[Slots[S].second];
+        return M.Rule == Rule && M.Prec == Prec && M.Start == Start
+                   ? Slots[S].second
+                   : Npos;
+      }
     }
   }
 
@@ -117,8 +122,23 @@ struct ParseRecord {
   void build();
   void clear();
 
+  /// The longest run of occupied slots, wrapping around the table's end:
+  /// the worst probe sequence a find can walk.
+  size_t longestRun() const;
+
 private:
-  size_t slotOf(uint64_t K) const { return size_t(K ^ (K >> 32)) & Mask; }
+  /// The slot a key's probe starts at. packKey leaves Start in the low
+  /// bits, so one rule's entries would fill one aligned block of slots
+  /// and the blocks of different rules would overlap; a 64-bit finalizer
+  /// (MurmurHash3's fmix64) spreads them over the whole table.
+  size_t slotOf(uint64_t K) const {
+    K ^= K >> 33;
+    K *= 0xFF51AFD7ED558CCDULL;
+    K ^= K >> 33;
+    K *= 0xC4CEB9FE1A85EC53ULL;
+    K ^= K >> 33;
+    return size_t(K) & Mask;
+  }
 
   std::vector<std::pair<uint64_t, uint32_t>> Slots; ///< (key, Metas index)
   size_t Mask = 0;

@@ -19,6 +19,7 @@
 #include "lexer/Token.h"
 
 #include <cassert>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -92,12 +93,17 @@ public:
   /// out of range). Only trees about to be discarded grow holes — the
   /// incremental runtime steals subtrees out of the previous parse's tree
   /// while building the replacement; renderings and counts skip holes.
+  /// Stored counts (\ref storeCounts) of this node and its ancestors no
+  /// longer hold once a child is gone, so they are cleared.
   std::unique_ptr<ParseTree> releaseChild(uint32_t I) {
     if (I >= Children.size())
       return nullptr;
     std::unique_ptr<ParseTree> Out = std::move(Children[I]);
-    if (Out)
+    if (Out) {
       Out->Parent = nullptr;
+      for (ParseTree *A = this; A && A->CountedNodes; A = A->Parent)
+        A->CountedNodes = A->CountedErrors = 0;
+    }
     return Out;
   }
   /// Drops children from index \p N on; speculative parsers roll back with
@@ -146,6 +152,25 @@ public:
     return N;
   }
 
+  /// Node and error-leaf counts of this subtree as stored by
+  /// \ref storeCounts, or false when none are stored. The tree's owner
+  /// stores them once a parse finished: a finished subtree keeps its
+  /// shape (only releaseChild changes it, and that clears them), so an
+  /// incremental session that splices it into later trees counts only
+  /// the nodes each parse built fresh. size() and numErrorNodes() never
+  /// consult them.
+  bool storedCounts(size_t &Nodes, size_t &Errors) const {
+    Nodes = CountedNodes;
+    Errors = CountedErrors;
+    return CountedNodes != 0;
+  }
+  void storeCounts(size_t Nodes, size_t Errors) {
+    assert(Nodes != 0 && Nodes <= UINT32_MAX && Errors <= Nodes &&
+           "a subtree has at least one node");
+    CountedNodes = uint32_t(Nodes);
+    CountedErrors = uint32_t(Errors);
+  }
+
   /// LISP-style rendering: `(rule child1 child2)`, token leaves as text,
   /// error leaves as `(error <text>)` (`(error)` for zero-width markers).
   std::string str(const Grammar &G) const {
@@ -172,6 +197,8 @@ private:
   ErrorNodeKind ErrKind = ErrorNodeKind::None;
   int32_t RuleIdx = -1;
   uint32_t Slot = 0;
+  uint32_t CountedNodes = 0; ///< 0 = no counts stored
+  uint32_t CountedErrors = 0;
   ParseTree *Parent = nullptr;
   Token Tok;
   std::vector<std::unique_ptr<ParseTree>> Children;

@@ -9,8 +9,11 @@
 // directly at the subsystem's invariants: inside tokens, at
 // maximal-munch boundaries, just outside the damage window where only
 // maxLookaheadReach prevents unsound reuse, and into panic-recovered
-// regions. `llstar-fuzz --edit-smoke` extends the same oracle to random
-// edit scripts; these tests pin the targeted constructions.
+// regions. A long lua session checks the node and error-leaf counts that
+// spliced subtrees carry from edit to edit, and a dense synthetic record
+// checks the reuse index's lookups and probe runs. `llstar-fuzz
+// --edit-smoke` extends the same oracle to random edit scripts; these
+// tests pin the targeted constructions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +24,10 @@
 
 #include <fstream>
 #include <functional>
+#include <map>
+#include <random>
 #include <sstream>
+#include <tuple>
 
 using namespace llstar;
 using namespace llstar::incremental;
@@ -66,9 +72,10 @@ std::string modeName(const SessionOptions &SO) {
   return M;
 }
 
-/// The oracle check: the session's observable state must match a
-/// from-scratch parse of the same text in the same mode, byte for byte.
-void expectMatchesScratch(const IncrementalSession &S,
+/// The oracle check: the session's observable state, and the counts its
+/// last reset or edit \p O reported, must match a from-scratch parse of
+/// the same text in the same mode, byte for byte.
+void expectMatchesScratch(const IncrementalSession &S, const EditOutcome &O,
                           const SessionOptions &SO, const char *Where) {
   ScratchResult R = scratchParse(S.bundle(), S.text(), SO);
   const size_t Shown = 400; // large documents would flood the log
@@ -76,6 +83,10 @@ void expectMatchesScratch(const IncrementalSession &S,
                S.text().substr(0, Shown) +
                (S.text().size() > Shown ? "...>" : ">"));
   EXPECT_EQ(S.ok(), R.ParseOk);
+  EXPECT_EQ(O.ParseOk, R.ParseOk);
+  EXPECT_EQ(O.NumTokens, int64_t(R.Tokens.size()));
+  EXPECT_EQ(O.TreeNodes, R.TreeNodes);
+  EXPECT_EQ(O.ErrorLeaves, R.ErrorLeaves);
   ASSERT_EQ(S.tokens().size(), R.Tokens.size());
   for (size_t I = 0; I < R.Tokens.size(); ++I) {
     const Token &A = S.tokens()[I];
@@ -194,7 +205,8 @@ TEST(IncrementalLexTest, OffsetsAndLineColAgreeWithFullTokenizeAcrossEdits) {
   auto Bundle = bundleOrFail(ExprGrammar);
   SessionOptions SO;
   IncrementalSession S(Bundle, SO);
-  ASSERT_TRUE(S.reset("one +\n  two * 3\n+ (four)\n").ParseOk);
+  EditOutcome O = S.reset("one +\n  two * 3\n+ (four)\n");
+  ASSERT_TRUE(O.ParseOk);
 
   // Every token's byte offset must point at its own text, and line/column
   // must match a 1-based-line, 0-based-column walk of the string.
@@ -218,20 +230,22 @@ TEST(IncrementalLexTest, OffsetsAndLineColAgreeWithFullTokenizeAcrossEdits) {
     }
   };
   CheckSelfConsistent();
-  expectMatchesScratch(S, SO, "after reset");
+  expectMatchesScratch(S, O, SO, "after reset");
 
   // Edits that shift offsets and line numbers of the retained suffix:
   // insert a line, delete across a newline, append at the end.
-  ASSERT_EQ(S.applyEdit({6, 0, "9 *\n"}).Error, EditScriptError::None);
+  O = S.applyEdit({6, 0, "9 *\n"});
+  ASSERT_EQ(O.Error, EditScriptError::None);
   CheckSelfConsistent();
-  expectMatchesScratch(S, SO, "after line insert");
-  ASSERT_EQ(S.applyEdit({4, 2, " "}).Error, EditScriptError::None);
+  expectMatchesScratch(S, O, SO, "after line insert");
+  O = S.applyEdit({4, 2, " "});
+  ASSERT_EQ(O.Error, EditScriptError::None);
   CheckSelfConsistent();
-  expectMatchesScratch(S, SO, "after newline delete");
-  ASSERT_EQ(S.applyEdit({int64_t(S.text().size()), 0, " * last\n"}).Error,
-            EditScriptError::None);
+  expectMatchesScratch(S, O, SO, "after newline delete");
+  O = S.applyEdit({int64_t(S.text().size()), 0, " * last\n"});
+  ASSERT_EQ(O.Error, EditScriptError::None);
   CheckSelfConsistent();
-  expectMatchesScratch(S, SO, "after append");
+  expectMatchesScratch(S, O, SO, "after append");
 }
 
 //===----------------------------------------------------------------------===//
@@ -242,8 +256,7 @@ TEST(IncrementalSessionTest, EditSequenceMatchesScratchInEveryMode) {
   auto Bundle = bundleOrFail(ExprGrammar);
   for (const SessionOptions &SO : allModes()) {
     IncrementalSession S(Bundle, SO);
-    S.reset("1 + 2 * (3 + 4) + five");
-    expectMatchesScratch(S, SO, "reset");
+    expectMatchesScratch(S, S.reset("1 + 2 * (3 + 4) + five"), SO, "reset");
     struct {
       Edit E;
       const char *Label;
@@ -257,8 +270,9 @@ TEST(IncrementalSessionTest, EditSequenceMatchesScratchInEveryMode) {
         {{1, 1, " "}, "repair"},
     };
     for (const auto &Step : Steps) {
-      ASSERT_EQ(S.applyEdit(Step.E).Error, EditScriptError::None);
-      expectMatchesScratch(S, SO, Step.Label);
+      EditOutcome O = S.applyEdit(Step.E);
+      ASSERT_EQ(O.Error, EditScriptError::None);
+      expectMatchesScratch(S, O, SO, Step.Label);
     }
   }
 }
@@ -280,7 +294,7 @@ TEST(IncrementalSessionTest, SmallEditsOnLargeInputReuseSubtrees) {
     ASSERT_EQ(O.Error, EditScriptError::None);
     EXPECT_GT(O.NodesReused, 100) << modeName(SO);
     EXPECT_LT(O.TokensRelexed, 10) << modeName(SO);
-    expectMatchesScratch(S, SO, "small edit on large input");
+    expectMatchesScratch(S, O, SO, "small edit on large input");
     EXPECT_EQ(S.stats().NodesReused, O.NodesReused);
   }
 }
@@ -294,7 +308,7 @@ TEST(IncrementalSessionTest, ApplyBatchSharesOneSnapshot) {
   EditOutcome O = S.applyBatch({{0, 1, "11"}, {8, 1, "33"}});
   ASSERT_EQ(O.Error, EditScriptError::None);
   EXPECT_EQ(S.text(), "11 + 2 + 33");
-  expectMatchesScratch(S, SO, "after batch");
+  expectMatchesScratch(S, O, SO, "after batch");
 }
 
 //===----------------------------------------------------------------------===//
@@ -308,10 +322,12 @@ TEST(IncrementalSessionTest, EditInsideATokenSplitsIt) {
     S.reset("abc + def");
     // " + 1 + " lands inside `def`, splitting it into de / f around new
     // tokens; and inserting inside `abc` extends a token in place.
-    ASSERT_EQ(S.applyEdit({8, 0, " + 1 + "}).Error, EditScriptError::None);
-    expectMatchesScratch(S, SO, "token split");
-    ASSERT_EQ(S.applyEdit({1, 0, "xyz"}).Error, EditScriptError::None);
-    expectMatchesScratch(S, SO, "token extend");
+    EditOutcome O = S.applyEdit({8, 0, " + 1 + "});
+    ASSERT_EQ(O.Error, EditScriptError::None);
+    expectMatchesScratch(S, O, SO, "token split");
+    O = S.applyEdit({1, 0, "xyz"});
+    ASSERT_EQ(O.Error, EditScriptError::None);
+    expectMatchesScratch(S, O, SO, "token extend");
   }
 }
 
@@ -322,15 +338,18 @@ TEST(IncrementalSessionTest, MaximalMunchWinnerFlipsAtTheDamageBoundary) {
   // `1 2` is INT INT; deleting the space must re-lex to one INT `12`, and
   // `a1` / `a 1` flip between one ID and ID INT.
   S.reset("1 2 + a 1");
-  ASSERT_EQ(S.applyEdit({1, 1, ""}).Error, EditScriptError::None);
+  EditOutcome O = S.applyEdit({1, 1, ""});
+  ASSERT_EQ(O.Error, EditScriptError::None);
   EXPECT_EQ(S.text(), "12 + a 1");
-  expectMatchesScratch(S, SO, "INT INT fuses to INT");
-  ASSERT_EQ(S.applyEdit({6, 1, ""}).Error, EditScriptError::None);
+  expectMatchesScratch(S, O, SO, "INT INT fuses to INT");
+  O = S.applyEdit({6, 1, ""});
+  ASSERT_EQ(O.Error, EditScriptError::None);
   EXPECT_EQ(S.text(), "12 + a1");
-  expectMatchesScratch(S, SO, "ID INT fuses to ID");
-  ASSERT_EQ(S.applyEdit({6, 0, " + "}).Error, EditScriptError::None);
+  expectMatchesScratch(S, O, SO, "ID INT fuses to ID");
+  O = S.applyEdit({6, 0, " + "});
+  ASSERT_EQ(O.Error, EditScriptError::None);
   EXPECT_EQ(S.text(), "12 + a + 1");
-  expectMatchesScratch(S, SO, "ID splits back apart");
+  expectMatchesScratch(S, O, SO, "ID splits back apart");
 }
 
 TEST(IncrementalSessionTest, LookaheadReachBlocksReuseJustOutsideTheWindow) {
@@ -347,13 +366,13 @@ b : 'w' | 'z' ;
 )");
   for (const SessionOptions &SO : allModes()) {
     IncrementalSession S(Bundle, SO);
-    S.reset("x z");
-    expectMatchesScratch(S, SO, "reset");
-    ASSERT_EQ(S.applyEdit({2, 1, "y w"}).Error, EditScriptError::None);
+    expectMatchesScratch(S, S.reset("x z"), SO, "reset");
+    EditOutcome O = S.applyEdit({2, 1, "y w"});
+    ASSERT_EQ(O.Error, EditScriptError::None);
     EXPECT_EQ(S.text(), "x y w");
     // The oracle equivalence is the soundness proof: the new tree must
     // show a absorbing the 'y', i.e. (a x y), not a spliced stale (a x).
-    expectMatchesScratch(S, SO, "edit inside a's lookahead reach");
+    expectMatchesScratch(S, O, SO, "edit inside a's lookahead reach");
     if (SO.Recover || S.ok()) {
       EXPECT_NE(S.treeText().find("x y"), std::string::npos) << S.treeText();
     }
@@ -369,22 +388,24 @@ TEST(IncrementalSessionTest, EditsInPanicRecoveredRegionsStayConsistent) {
     IncrementalSession S(Bundle, SO);
     // `* *` forces panic recovery mid-expression; then edit inside, just
     // before, and just after the recovered region.
-    S.reset("1 + * * 2 + 3");
+    EditOutcome O = S.reset("1 + * * 2 + 3");
     EXPECT_FALSE(S.ok());
-    expectMatchesScratch(S, SO, "broken reset");
-    ASSERT_EQ(S.applyEdit({4, 1, "9"}).Error, EditScriptError::None);
-    expectMatchesScratch(S, SO, "edit inside recovered region");
-    ASSERT_EQ(S.applyEdit({0, 1, "("}).Error, EditScriptError::None);
-    expectMatchesScratch(S, SO, "edit before recovered region");
-    ASSERT_EQ(S.applyEdit({int64_t(S.text().size()), 0, " +"}).Error,
-              EditScriptError::None);
-    expectMatchesScratch(S, SO, "edit after recovered region");
+    expectMatchesScratch(S, O, SO, "broken reset");
+    O = S.applyEdit({4, 1, "9"});
+    ASSERT_EQ(O.Error, EditScriptError::None);
+    expectMatchesScratch(S, O, SO, "edit inside recovered region");
+    O = S.applyEdit({0, 1, "("});
+    ASSERT_EQ(O.Error, EditScriptError::None);
+    expectMatchesScratch(S, O, SO, "edit before recovered region");
+    O = S.applyEdit({int64_t(S.text().size()), 0, " +"});
+    ASSERT_EQ(O.Error, EditScriptError::None);
+    expectMatchesScratch(S, O, SO, "edit after recovered region");
     // Repair the input completely: the session must converge back to a
     // clean parse identical to scratch.
-    ASSERT_EQ(S.applyEdit({0, int64_t(S.text().size()), "1 + 2 * 3"}).Error,
-              EditScriptError::None);
+    O = S.applyEdit({0, int64_t(S.text().size()), "1 + 2 * 3"});
+    ASSERT_EQ(O.Error, EditScriptError::None);
     EXPECT_TRUE(S.ok());
-    expectMatchesScratch(S, SO, "repaired");
+    expectMatchesScratch(S, O, SO, "repaired");
   }
 }
 
@@ -398,12 +419,8 @@ TEST(IncrementalSessionTest, NoReuseBaselineMatchesToo) {
   EditOutcome O = S.applyEdit({0, 0, "0 + "});
   ASSERT_EQ(O.Error, EditScriptError::None);
   EXPECT_EQ(O.NodesReused, 0); // baseline never splices
-  expectMatchesScratch(S, SO, "no-reuse baseline");
+  expectMatchesScratch(S, O, SO, "no-reuse baseline");
 }
-
-//===----------------------------------------------------------------------===//
-// Token text lifetime: tokens and heap leaves view the session's text
-//===----------------------------------------------------------------------===//
 
 std::shared_ptr<const GrammarBundle> shippedBundle(const std::string &Name) {
   std::ifstream In(std::string(LLSTAR_SOURCE_DIR) + "/grammars/" + Name);
@@ -411,6 +428,161 @@ std::shared_ptr<const GrammarBundle> shippedBundle(const std::string &Name) {
   Text << In.rdbuf();
   return bundleOrFail(Text.str().c_str());
 }
+
+//===----------------------------------------------------------------------===//
+// Long sessions: counts stored in spliced subtrees compound across edits
+//===----------------------------------------------------------------------===//
+
+/// About \p Bytes of lua: locals, functions, loops and calls in turn.
+std::string luaDocument(size_t Bytes) {
+  std::string Doc;
+  for (int I = 0; Doc.size() < Bytes; ++I) {
+    const std::string N = std::to_string(I);
+    switch (I % 4) {
+    case 0:
+      Doc += "local v" + N + " = " + N + " * (x + " + N + ")\n";
+      break;
+    case 1:
+      Doc += "function f" + N + "(a, b)\n  if a < b then\n    return a .. \"" +
+             N + "\"\n  end\n  return b\nend\n";
+      break;
+    case 2:
+      Doc += "for i = 1, " + N + " do\n  t[i] = { k = i, \"v" + N +
+             "\" }\nend\n";
+      break;
+    default:
+      Doc += "print(v" + N + ", f" + N + "(1, 2))\n";
+      break;
+    }
+  }
+  return Doc;
+}
+
+TEST(IncrementalSessionTest, LongSessionCountsMatchAFreshWalk) {
+  // Heap sessions count only the nodes each parse built; spliced subtrees
+  // bring counts stored edits ago. Hundreds of edits over one document let
+  // that reuse compound: typing, deleting, newlines and pasted statements,
+  // each undone a few edits later.
+  auto Bundle = shippedBundle("lua.g");
+  ASSERT_TRUE(Bundle);
+  const std::string Doc = luaDocument(20 * 1024);
+  for (const SessionOptions &SO : allModes()) {
+    IncrementalSession S(Bundle, SO);
+    EditOutcome O = S.reset(Doc);
+    ASSERT_TRUE(O.ParseOk) << modeName(SO);
+    expectMatchesScratch(S, O, SO, "reset");
+    std::mt19937 Rng(19);
+    auto Below = [&](size_t N) { return size_t(Rng() % N); };
+    std::vector<Edit> Undo; // inverses, most recent last
+    for (int Step = 1; Step <= 320; ++Step) {
+      const std::string &Text = S.text();
+      Edit E;
+      if (!Undo.empty() && (Undo.size() >= 4 || Below(3) == 0)) {
+        E = Undo.back();
+        Undo.pop_back();
+      } else {
+        const int64_t At = int64_t(Below(Text.size()));
+        const size_t LineStart = Text.rfind('\n', size_t(At)) + 1;
+        switch (Below(4)) {
+        case 0:
+          E = {At, 0, std::string(1, "az09_ "[Below(6)])};
+          break;
+        case 1:
+          E = {At, 1, ""};
+          break;
+        case 2:
+          E = {At, 0, "\n"};
+          break;
+        default:
+          E = {int64_t(LineStart), 0, "local p = q .. \"x\" + 1\n"};
+          break;
+        }
+        Undo.push_back({E.Offset, int64_t(E.NewText.size()),
+                        Text.substr(size_t(E.Offset), size_t(E.OldLen))});
+      }
+      O = S.applyEdit(E);
+      ASSERT_EQ(O.Error, EditScriptError::None);
+      if (const ParseTree *T = S.heapTree()) {
+        SCOPED_TRACE(modeName(SO) + " edit " + std::to_string(Step));
+        ASSERT_EQ(O.TreeNodes, int64_t(T->size()));
+        ASSERT_EQ(O.ErrorLeaves, int64_t(T->numErrorNodes()));
+      }
+      if (Step % 25 == 0) {
+        expectMatchesScratch(S, O, SO, "long session");
+        if (::testing::Test::HasFailure())
+          return;
+      }
+    }
+    EXPECT_GT(S.stats().NodesReused, 10000) << modeName(SO);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The probe index of a parse record
+//===----------------------------------------------------------------------===//
+
+TEST(ParseRecordTest, DenseRecordFindsEveryKeyWithShortProbeRuns) {
+  // A record as dense as a large document's: 30 rules, an innermost rule
+  // starting at every token, nested in a second rule at every other token
+  // and in one of 28 outer rules everywhere, and now and then an outer
+  // node of the same rule as the one it wraps.
+  ParseRecord Rec;
+  auto Add = [&](int32_t Rule, int32_t Prec, int64_t Start) {
+    NodeMeta M;
+    M.Rule = Rule;
+    M.Prec = Prec;
+    M.Start = Start;
+    M.Next = Start + 1;
+    M.Reach = Start;
+    M.SubtreeBegin = uint32_t(Rec.Metas.size());
+    Rec.Metas.push_back(M);
+  };
+  for (int64_t Start = 0; Start < 20000; ++Start) {
+    Add(0, 0, Start);
+    if (Start % 2 == 0)
+      Add(1, 0, Start);
+    const int32_t Outer = int32_t(2 + Start * 7 % 28);
+    const int32_t Prec = Start % 3 == 0;
+    Add(Outer, Prec, Start);
+    if (Start % 100 == 0)
+      Add(Outer, Prec, Start); // a repeated key: the outermost wins
+  }
+  Rec.build();
+
+  // Every key finds the last entry appended under it.
+  std::map<std::tuple<int32_t, int32_t, int64_t>, uint32_t> Last;
+  for (uint32_t I = 0; I < Rec.Metas.size(); ++I) {
+    const NodeMeta &M = Rec.Metas[I];
+    Last[{M.Rule, M.Prec, M.Start}] = I;
+  }
+  for (const auto &[Key, Index] : Last) {
+    const auto &[Rule, Prec, Start] = Key;
+    ASSERT_EQ(Rec.find(Rule, Prec, Start), Index)
+        << "rule " << Rule << " prec " << Prec << " start " << Start;
+  }
+  EXPECT_EQ(Rec.find(0, 0, 20000), ParseRecord::Npos);
+  EXPECT_EQ(Rec.find(30, 0, 5), ParseRecord::Npos);
+
+  // A triple whose packed key equals a recorded one is a miss.
+  const NodeMeta &Held = Rec.Metas[Last.begin()->second];
+  const int32_t Other = Held.Rule + 1;
+  const int64_t Colliding =
+      Held.Start ^ int64_t(ParseRecord::packKey(Held.Rule, Held.Prec, 0) ^
+                           ParseRecord::packKey(Other, Held.Prec, 0));
+  ASSERT_EQ(ParseRecord::packKey(Other, Held.Prec, Colliding),
+            ParseRecord::packKey(Held.Rule, Held.Prec, Held.Start));
+  EXPECT_EQ(Rec.find(Other, Held.Prec, Colliding), ParseRecord::Npos);
+  EXPECT_EQ(Rec.find(Held.Rule, Held.Prec, Held.Start),
+            Last.begin()->second);
+
+  // Keys that differ only in their start must not pile into one block of
+  // slots: every find stays a short probe.
+  EXPECT_LT(Rec.longestRun(), 64u);
+}
+
+//===----------------------------------------------------------------------===//
+// Token text lifetime: tokens and heap leaves view the session's text
+//===----------------------------------------------------------------------===//
 
 /// Every token and every heap-tree leaf must view its own span of the
 /// session's current text — the same check as the offset test above, plus
@@ -480,10 +652,11 @@ TEST(IncrementalLifetimeTest, PasteThatMovesTheTextRebasesEveryView) {
 
     const char *Before = S.text().data();
     const int64_t At = int64_t(S.text().find("print"));
-    ASSERT_EQ(S.applyEdit({At, 0, Paste}).Error, EditScriptError::None);
+    EditOutcome O = S.applyEdit({At, 0, Paste});
+    ASSERT_EQ(O.Error, EditScriptError::None);
     ASSERT_NE(S.text().data(), Before) << "the paste did not move the text";
     expectViewsCurrentText(S, "after paste");
-    expectMatchesScratch(S, SO, "after paste");
+    expectMatchesScratch(S, O, SO, "after paste");
 
     // Edits before and after the pasted block, in place and growing; each
     // offset is taken from the text as it stands.
@@ -496,9 +669,10 @@ TEST(IncrementalLifetimeTest, PasteThatMovesTheTextRebasesEveryView) {
         [&] { return Edit{int64_t(S.text().size()), 0, "w = 2\n"}; },
     };
     for (const auto &Step : Steps) {
-      ASSERT_EQ(S.applyEdit(Step()).Error, EditScriptError::None);
+      O = S.applyEdit(Step());
+      ASSERT_EQ(O.Error, EditScriptError::None);
       expectViewsCurrentText(S, "edit around the paste");
-      expectMatchesScratch(S, SO, "edit around the paste");
+      expectMatchesScratch(S, O, SO, "edit around the paste");
     }
   }
 }
@@ -523,9 +697,10 @@ TEST(IncrementalLifetimeTest, EditsInsideALongJsonString) {
         {Mid, 0, "\n\t"},    // control bytes inside the string body
     };
     for (const Edit &E : Steps) {
-      ASSERT_EQ(S.applyEdit(E).Error, EditScriptError::None);
+      EditOutcome O = S.applyEdit(E);
+      ASSERT_EQ(O.Error, EditScriptError::None);
       expectViewsCurrentText(S, "edit inside the string");
-      expectMatchesScratch(S, SO, "edit inside the string");
+      expectMatchesScratch(S, O, SO, "edit inside the string");
     }
   }
 }
