@@ -1,15 +1,16 @@
-//===- bench/bench_compiled.cpp - Compiled fast path vs interpreter -------===//
+//===- bench/bench_compiled.cpp - Table walk vs native module -------------===//
 //
-// Measures the ahead-of-time compiled parser fast path (src/compiled/,
-// grammars/compiled/) against the interpreting runtime on every shipped
-// grammar, split the way the subsystem is layered:
+// Measures what the native modules (src/compiled/, grammars/compiled/) add
+// on top of LL(*) parsing's table walk on every shipped grammar, split the
+// way the subsystem is layered:
 //
 //   1. lexer — the grammar's spec-compiled CharDfa vs the generated dense
 //      byte-DFA tables of the registered module (tokens/s);
-//   2. full parse — LLStarParser vs CompiledParser over the same token
-//      stream, trees and stats off, so the number isolates prediction and
-//      matching throughput (the layer the dense tables and generated
-//      predictors replace; tree building costs the same in both engines).
+//   2. full parse — LLStarParser walking the grammar's own tables vs the
+//      same parser with the module's native predictors and rule bodies,
+//      over the same token stream, trees and stats off, so the number
+//      isolates prediction and matching throughput (the layer the
+//      generated code replaces; tree building costs the same in both).
 //
 // Workloads are synthetic but idiomatic per grammar, sized by --units.
 // `--json FILE` records the results; BENCH_compiled.json at the repo root
@@ -22,7 +23,6 @@
 
 #include "analysis/AnalyzedGrammar.h"
 #include "codegen/Serializer.h"
-#include "compiled/CompiledParser.h"
 #include "compiled/CompiledRegistry.h"
 #include "lexer/Lexer.h"
 #include "lexer/TokenStream.h"
@@ -176,15 +176,16 @@ template <class FnT> double bestOf(int Repeat, FnT &&Fn) {
   return Best;
 }
 
+/// One layer measured without (Base) and with (Native) the module's code.
 struct Split {
-  double InterpSecs = 0, CompiledSecs = 0;
-  double InterpTps = 0, CompiledTps = 0;
+  double BaseSecs = 0, NativeSecs = 0;
+  double BaseTps = 0, NativeTps = 0;
   double Speedup = 0;
 
   void finish(int64_t Tokens) {
-    InterpTps = double(Tokens) / InterpSecs;
-    CompiledTps = double(Tokens) / CompiledSecs;
-    Speedup = InterpSecs / CompiledSecs;
+    BaseTps = double(Tokens) / BaseSecs;
+    NativeTps = double(Tokens) / NativeSecs;
+    Speedup = BaseSecs / NativeSecs;
   }
 };
 
@@ -219,11 +220,11 @@ int main(int Argc, char **Argv) {
 
   compiled::registerShippedGrammars();
   std::vector<GrammarReport> Reports;
-  std::printf("compiled fast path vs interpreter: %d units, best of %d\n\n",
+  std::printf("table walk vs native module: %d units, best of %d\n\n",
               Units, Repeat);
   std::printf("%-8s %-7s %-8s %12s %12s %8s %12s %12s %8s\n", "grammar",
-              "module", "native", "lex-int t/s", "lex-cmp t/s", "lex-x",
-              "par-int t/s", "par-cmp t/s", "par-x");
+              "module", "native", "lex-spec t/s", "lex-mod t/s", "lex-x",
+              "walk t/s", "native t/s", "par-x");
 
   for (const Workload &W : Workloads) {
     std::string Text = readFile(std::string(LLSTAR_SOURCE_DIR) +
@@ -260,21 +261,21 @@ int main(int Argc, char **Argv) {
     }
     R.Tokens = int64_t(Tokens.size()) - 1; // exclude EOF
 
-    // Lexer split. Without a module (stale hash) the compiled side runs
+    // Lexer split. Without a module (stale hash) the native side runs
     // the same spec lexer; the speedup column then honestly reads ~1x.
-    R.Lex.InterpSecs = bestOf(Repeat, [&] {
+    R.Lex.BaseSecs = bestOf(Repeat, [&] {
       DiagnosticEngine D;
       SpecLex.tokenize(Input, D);
     });
-    const Lexer &CompiledLex = ModuleLex ? *ModuleLex : SpecLex;
-    R.Lex.CompiledSecs = bestOf(Repeat, [&] {
+    const Lexer &NativeLex = ModuleLex ? *ModuleLex : SpecLex;
+    R.Lex.NativeSecs = bestOf(Repeat, [&] {
       DiagnosticEngine D;
-      CompiledLex.tokenize(Input, D);
+      NativeLex.tokenize(Input, D);
     });
     R.Lex.finish(R.Tokens);
 
     // Full-parse split: trees and stats off so the measurement isolates
-    // prediction + matching, the layer the compiled tables replace.
+    // prediction + matching, the layer the generated code replaces.
     TokenStream Stream(std::move(Tokens));
     ParserOptions Opts;
     Opts.Memoize = AG->grammar().Options.Memoize;
@@ -288,20 +289,19 @@ int main(int Argc, char **Argv) {
         std::exit(1);
       }
     };
-    R.Parse.InterpSecs = bestOf(Repeat, [&] {
+    R.Parse.BaseSecs = bestOf(Repeat, [&] {
       Stream.seek(0);
       DiagnosticEngine D;
       LLStarParser P(*AG, Stream, nullptr, D, Opts);
       P.parse();
-      CheckOk(P.ok(), D, "interpreted");
+      CheckOk(P.ok(), D, "table walk");
     });
-    R.Parse.CompiledSecs = bestOf(Repeat, [&] {
+    R.Parse.NativeSecs = bestOf(Repeat, [&] {
       Stream.seek(0);
       DiagnosticEngine D;
-      compiled::CompiledParser P(*AG, Res.View, Stream, nullptr, D, Opts,
-                                 Res.Native, Res.Rules);
+      LLStarParser P(*AG, Stream, nullptr, D, Opts, Res.native());
       P.parse();
-      CheckOk(P.ok(), D, "compiled");
+      CheckOk(P.ok(), D, "native module");
     });
     R.Parse.finish(R.Tokens);
 
@@ -310,8 +310,8 @@ int main(int Argc, char **Argv) {
                   R.Decisions);
     std::printf("%-8s %-7s %-8s %12.0f %12.0f %7.2fx %12.0f %12.0f %7.2fx\n",
                 R.Name.c_str(), R.FromModule ? "yes" : "STALE", Native,
-                R.Lex.InterpTps, R.Lex.CompiledTps, R.Lex.Speedup,
-                R.Parse.InterpTps, R.Parse.CompiledTps, R.Parse.Speedup);
+                R.Lex.BaseTps, R.Lex.NativeTps, R.Lex.Speedup,
+                R.Parse.BaseTps, R.Parse.NativeTps, R.Parse.Speedup);
     Reports.push_back(std::move(R));
   }
 
@@ -322,11 +322,11 @@ int main(int Argc, char **Argv) {
     char Buf[512];
     auto SplitJson = [&](const char *Key, const Split &S) {
       std::snprintf(Buf, sizeof(Buf),
-                    "     \"%s\": {\"interpSecs\": %.6f, "
-                    "\"compiledSecs\": %.6f, \"interpTokensPerSec\": %.0f, "
-                    "\"compiledTokensPerSec\": %.0f, \"speedup\": %.2f}",
-                    Key, S.InterpSecs, S.CompiledSecs, S.InterpTps,
-                    S.CompiledTps, S.Speedup);
+                    "     \"%s\": {\"baseSecs\": %.6f, "
+                    "\"nativeSecs\": %.6f, \"baseTokensPerSec\": %.0f, "
+                    "\"nativeTokensPerSec\": %.0f, \"speedup\": %.2f}",
+                    Key, S.BaseSecs, S.NativeSecs, S.BaseTps, S.NativeTps,
+                    S.Speedup);
       Out += Buf;
     };
     for (size_t G = 0; G < Reports.size(); ++G) {

@@ -7,8 +7,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "compiled/CompiledParser.h"
 #include "compiled/CompiledRegistry.h"
+#include "runtime/LLStarParser.h"
 
 namespace llstar {
 namespace compiled {
@@ -223,7 +223,7 @@ const NativePredictFn kNative[] = {
     &Predict0, &Predict1, &Predict2, &Predict3,
 };
 
-bool Rule0(CompiledParser &P, NodeRef Parent) { // file
+bool Rule0(LLStarParser &P, NodeRef Parent) { // file
   (void)P;
   (void)Parent;
   int64_t lm10 = -1;
@@ -278,10 +278,10 @@ s12:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 1) {
-      CompiledParser::ColdMatch M = P.coldMismatch(12, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(12, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s13;
     }
     P.consumeMatched(Parent);
@@ -323,10 +323,10 @@ s17:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 1) {
-      CompiledParser::ColdMatch M = P.coldMismatch(17, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(17, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s16;
     }
     P.consumeMatched(Parent);
@@ -337,10 +337,10 @@ s16:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != -1) {
-      CompiledParser::ColdMatch M = P.coldMismatch(16, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(16, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -352,7 +352,7 @@ s14:
   goto s10;
 }
 
-bool Rule1(CompiledParser &P, NodeRef Parent) { // header
+bool Rule1(LLStarParser &P, NodeRef Parent) { // header
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())
@@ -370,7 +370,7 @@ s21:
   return true;
 }
 
-bool Rule2(CompiledParser &P, NodeRef Parent) { // record
+bool Rule2(LLStarParser &P, NodeRef Parent) { // record
   (void)P;
   (void)Parent;
   int64_t lm24 = -1;
@@ -425,10 +425,10 @@ s26:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 2) {
-      CompiledParser::ColdMatch M = P.coldMismatch(26, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(26, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s27;
     }
     P.consumeMatched(Parent);
@@ -446,7 +446,7 @@ s28:
   goto s24;
 }
 
-bool Rule3(CompiledParser &P, NodeRef Parent) { // field
+bool Rule3(LLStarParser &P, NodeRef Parent) { // field
   (void)P;
   (void)Parent;
   {
@@ -480,10 +480,10 @@ s29:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 3) {
-      CompiledParser::ColdMatch M = P.coldMismatch(29, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(29, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -494,10 +494,10 @@ s31:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 4) {
-      CompiledParser::ColdMatch M = P.coldMismatch(31, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(31, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);

@@ -7,8 +7,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "compiled/CompiledParser.h"
 #include "compiled/CompiledRegistry.h"
+#include "runtime/LLStarParser.h"
 
 namespace llstar {
 namespace compiled {
@@ -986,7 +986,7 @@ const NativePredictFn kNative[] = {
     &Predict20,
 };
 
-bool Rule0(CompiledParser &P, NodeRef Parent) { // graph
+bool Rule0(LLStarParser &P, NodeRef Parent) { // graph
   (void)P;
   (void)Parent;
   int64_t lm36 = -1;
@@ -1023,10 +1023,10 @@ s23:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 1) {
-      CompiledParser::ColdMatch M = P.coldMismatch(23, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(23, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s22;
     }
     P.consumeMatched(Parent);
@@ -1066,10 +1066,10 @@ s27:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 2) {
-      CompiledParser::ColdMatch M = P.coldMismatch(27, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(27, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s26;
     }
     P.consumeMatched(Parent);
@@ -1080,10 +1080,10 @@ s29:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 3) {
-      CompiledParser::ColdMatch M = P.coldMismatch(29, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(29, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s26;
     }
     P.consumeMatched(Parent);
@@ -1123,10 +1123,10 @@ s33:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 4) {
-      CompiledParser::ColdMatch M = P.coldMismatch(33, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(33, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s32;
     }
     P.consumeMatched(Parent);
@@ -1137,10 +1137,10 @@ s32:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 5) {
-      CompiledParser::ColdMatch M = P.coldMismatch(32, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(32, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s36;
     }
     P.consumeMatched(Parent);
@@ -1190,10 +1190,10 @@ s37:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 6) {
-      CompiledParser::ColdMatch M = P.coldMismatch(37, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(37, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s40;
     }
     P.consumeMatched(Parent);
@@ -1208,10 +1208,10 @@ s40:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != -1) {
-      CompiledParser::ColdMatch M = P.coldMismatch(40, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(40, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -1219,7 +1219,7 @@ s40:
   }
 }
 
-bool Rule1(CompiledParser &P, NodeRef Parent) { // stmt
+bool Rule1(LLStarParser &P, NodeRef Parent) { // stmt
   (void)P;
   (void)Parent;
   int64_t lm70 = -1;
@@ -1289,10 +1289,10 @@ s63:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 10) {
-      CompiledParser::ColdMatch M = P.coldMismatch(63, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(63, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s65;
     }
     P.consumeMatched(Parent);
@@ -1303,10 +1303,10 @@ s75:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 4) {
-      CompiledParser::ColdMatch M = P.coldMismatch(75, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(75, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s76;
     }
     P.consumeMatched(Parent);
@@ -1329,10 +1329,10 @@ s52:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 2) {
-      CompiledParser::ColdMatch M = P.coldMismatch(52, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(52, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s51;
     }
     P.consumeMatched(Parent);
@@ -1343,10 +1343,10 @@ s54:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 8) {
-      CompiledParser::ColdMatch M = P.coldMismatch(54, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(54, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s51;
     }
     P.consumeMatched(Parent);
@@ -1357,10 +1357,10 @@ s56:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 9) {
-      CompiledParser::ColdMatch M = P.coldMismatch(56, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(56, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s51;
     }
     P.consumeMatched(Parent);
@@ -1396,10 +1396,10 @@ s76:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 11) {
-      CompiledParser::ColdMatch M = P.coldMismatch(76, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(76, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s77;
     }
     P.consumeMatched(Parent);
@@ -1424,10 +1424,10 @@ s67:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 4) {
-      CompiledParser::ColdMatch M = P.coldMismatch(67, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(67, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s66;
     }
     P.consumeMatched(Parent);
@@ -1438,10 +1438,10 @@ s66:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 5) {
-      CompiledParser::ColdMatch M = P.coldMismatch(66, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(66, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s70;
     }
     P.consumeMatched(Parent);
@@ -1549,10 +1549,10 @@ s87:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 7) {
-      CompiledParser::ColdMatch M = P.coldMismatch(87, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(87, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s86;
     }
     P.consumeMatched(Parent);
@@ -1567,10 +1567,10 @@ s47:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 7) {
-      CompiledParser::ColdMatch M = P.coldMismatch(47, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(47, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s46;
     }
     P.consumeMatched(Parent);
@@ -1616,10 +1616,10 @@ s71:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 6) {
-      CompiledParser::ColdMatch M = P.coldMismatch(71, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(71, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -1655,10 +1655,10 @@ s61:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 7) {
-      CompiledParser::ColdMatch M = P.coldMismatch(61, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(61, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s60;
     }
     P.consumeMatched(Parent);
@@ -1677,10 +1677,10 @@ s81:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 7) {
-      CompiledParser::ColdMatch M = P.coldMismatch(81, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(81, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s80;
     }
     P.consumeMatched(Parent);
@@ -1692,7 +1692,7 @@ s80:
   return true;
 }
 
-bool Rule2(CompiledParser &P, NodeRef Parent) { // nodeStmt
+bool Rule2(LLStarParser &P, NodeRef Parent) { // nodeStmt
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())
@@ -1749,7 +1749,7 @@ s94:
   goto s92;
 }
 
-bool Rule3(CompiledParser &P, NodeRef Parent) { // edgeStmt
+bool Rule3(LLStarParser &P, NodeRef Parent) { // edgeStmt
   (void)P;
   (void)Parent;
   int64_t lm98 = -1;
@@ -1850,7 +1850,7 @@ s105:
   goto s103;
 }
 
-bool Rule4(CompiledParser &P, NodeRef Parent) { // edgeRhs
+bool Rule4(LLStarParser &P, NodeRef Parent) { // edgeRhs
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())
@@ -1886,10 +1886,10 @@ s109:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 12) {
-      CompiledParser::ColdMatch M = P.coldMismatch(109, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(109, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s108;
     }
     P.consumeMatched(Parent);
@@ -1900,10 +1900,10 @@ s111:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 13) {
-      CompiledParser::ColdMatch M = P.coldMismatch(111, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(111, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s108;
     }
     P.consumeMatched(Parent);
@@ -1921,7 +1921,7 @@ s113:
   return true;
 }
 
-bool Rule5(CompiledParser &P, NodeRef Parent) { // nodeId
+bool Rule5(LLStarParser &P, NodeRef Parent) { // nodeId
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())
@@ -1932,10 +1932,10 @@ s114:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 4) {
-      CompiledParser::ColdMatch M = P.coldMismatch(114, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(114, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s116;
     }
     P.consumeMatched(Parent);
@@ -1971,10 +1971,10 @@ s118:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(118, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(118, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s119;
     }
     P.consumeMatched(Parent);
@@ -1989,10 +1989,10 @@ s119:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 4) {
-      CompiledParser::ColdMatch M = P.coldMismatch(119, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(119, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s117;
     }
     P.consumeMatched(Parent);
@@ -2000,7 +2000,7 @@ s119:
   }
 }
 
-bool Rule6(CompiledParser &P, NodeRef Parent) { // attrList
+bool Rule6(LLStarParser &P, NodeRef Parent) { // attrList
   (void)P;
   (void)Parent;
   int64_t lm123 = -1;
@@ -2013,10 +2013,10 @@ s125:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 15) {
-      CompiledParser::ColdMatch M = P.coldMismatch(125, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(125, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s127;
     }
     P.consumeMatched(Parent);
@@ -2058,10 +2058,10 @@ s128:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 17) {
-      CompiledParser::ColdMatch M = P.coldMismatch(128, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(128, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s123;
     }
     P.consumeMatched(Parent);
@@ -2142,10 +2142,10 @@ s133:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 16) {
-      CompiledParser::ColdMatch M = P.coldMismatch(133, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(133, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s134;
     }
     P.consumeMatched(Parent);
@@ -2163,7 +2163,7 @@ s135:
   goto s131;
 }
 
-bool Rule7(CompiledParser &P, NodeRef Parent) { // attr
+bool Rule7(LLStarParser &P, NodeRef Parent) { // attr
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())
@@ -2174,10 +2174,10 @@ s137:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 4) {
-      CompiledParser::ColdMatch M = P.coldMismatch(137, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(137, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s138;
     }
     P.consumeMatched(Parent);
@@ -2188,10 +2188,10 @@ s138:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 11) {
-      CompiledParser::ColdMatch M = P.coldMismatch(138, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(138, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s139;
     }
     P.consumeMatched(Parent);
@@ -2209,7 +2209,7 @@ s140:
   return true;
 }
 
-bool Rule8(CompiledParser &P, NodeRef Parent) { // idOrValue
+bool Rule8(LLStarParser &P, NodeRef Parent) { // idOrValue
   (void)P;
   (void)Parent;
   {
@@ -2243,10 +2243,10 @@ s141:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 4) {
-      CompiledParser::ColdMatch M = P.coldMismatch(141, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(141, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -2257,10 +2257,10 @@ s143:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 18) {
-      CompiledParser::ColdMatch M = P.coldMismatch(143, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(143, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -2271,10 +2271,10 @@ s145:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 19) {
-      CompiledParser::ColdMatch M = P.coldMismatch(145, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(145, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -2282,7 +2282,7 @@ s145:
   }
 }
 
-bool Rule9(CompiledParser &P, NodeRef Parent) { // __synpred1_stmt
+bool Rule9(LLStarParser &P, NodeRef Parent) { // __synpred1_stmt
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())

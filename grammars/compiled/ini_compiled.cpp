@@ -7,8 +7,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "compiled/CompiledParser.h"
 #include "compiled/CompiledRegistry.h"
+#include "runtime/LLStarParser.h"
 
 namespace llstar {
 namespace compiled {
@@ -218,7 +218,7 @@ const NativePredictFn kNative[] = {
     &Predict0, &Predict1, &Predict2, &Predict3,
 };
 
-bool Rule0(CompiledParser &P, NodeRef Parent) { // file
+bool Rule0(LLStarParser &P, NodeRef Parent) { // file
   (void)P;
   (void)Parent;
   int64_t lm9 = -1;
@@ -269,10 +269,10 @@ s10:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != -1) {
-      CompiledParser::ColdMatch M = P.coldMismatch(10, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(10, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -284,7 +284,7 @@ s12:
   goto s9;
 }
 
-bool Rule1(CompiledParser &P, NodeRef Parent) { // section
+bool Rule1(LLStarParser &P, NodeRef Parent) { // section
   (void)P;
   (void)Parent;
   int64_t lm18 = -1;
@@ -296,10 +296,10 @@ s14:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 1) {
-      CompiledParser::ColdMatch M = P.coldMismatch(14, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(14, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s15;
     }
     P.consumeMatched(Parent);
@@ -310,10 +310,10 @@ s15:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 2) {
-      CompiledParser::ColdMatch M = P.coldMismatch(15, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(15, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s16;
     }
     P.consumeMatched(Parent);
@@ -324,10 +324,10 @@ s16:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 3) {
-      CompiledParser::ColdMatch M = P.coldMismatch(16, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(16, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s18;
     }
     P.consumeMatched(Parent);
@@ -378,7 +378,7 @@ s21:
   goto s18;
 }
 
-bool Rule2(CompiledParser &P, NodeRef Parent) { // entry
+bool Rule2(LLStarParser &P, NodeRef Parent) { // entry
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())
@@ -389,10 +389,10 @@ s22:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 2) {
-      CompiledParser::ColdMatch M = P.coldMismatch(22, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(22, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s23;
     }
     P.consumeMatched(Parent);
@@ -403,10 +403,10 @@ s23:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 4) {
-      CompiledParser::ColdMatch M = P.coldMismatch(23, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(23, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s24;
     }
     P.consumeMatched(Parent);
@@ -424,7 +424,7 @@ s25:
   return true;
 }
 
-bool Rule3(CompiledParser &P, NodeRef Parent) { // value
+bool Rule3(LLStarParser &P, NodeRef Parent) { // value
   (void)P;
   (void)Parent;
   int64_t lm32 = -1;
@@ -459,10 +459,10 @@ s26:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 5) {
-      CompiledParser::ColdMatch M = P.coldMismatch(26, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(26, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -473,10 +473,10 @@ s28:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 6) {
-      CompiledParser::ColdMatch M = P.coldMismatch(28, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(28, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -487,10 +487,10 @@ s30:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 2) {
-      CompiledParser::ColdMatch M = P.coldMismatch(30, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(30, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s32;
     }
     P.consumeMatched(Parent);
@@ -534,10 +534,10 @@ s34:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 7) {
-      CompiledParser::ColdMatch M = P.coldMismatch(34, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(34, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s35;
     }
     P.consumeMatched(Parent);
@@ -548,10 +548,10 @@ s35:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 2) {
-      CompiledParser::ColdMatch M = P.coldMismatch(35, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(35, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s32;
     }
     P.consumeMatched(Parent);

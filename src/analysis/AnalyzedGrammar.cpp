@@ -33,10 +33,7 @@ AnalyzedGrammar::analyze(std::unique_ptr<Grammar> G, DiagnosticEngine &Diags) {
         analyzeDecision(*AG->M, int32_t(D), Opts, Diags, &AG->Reports[D]));
 
   AG->computeStats();
-  AG->Recovery = RecoverySets::compute(*AG->M);
-  // Freeze lazy grammar caches so concurrent const use (the parse service
-  // sharing one analysis result across workers) never writes.
-  AG->G->freeze();
+  AG->finish(nullptr);
   AG->Stats.AnalysisSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
@@ -53,10 +50,17 @@ AnalyzedGrammar::fromParts(std::unique_ptr<Grammar> G, std::unique_ptr<Atn> M,
   AG->Dfas = std::move(Dfas);
   AG->Reports.resize(AG->Dfas.size());
   AG->computeStats();
-  AG->Recovery =
-      Recovery ? std::move(Recovery) : RecoverySets::compute(*AG->M);
-  AG->G->freeze();
+  AG->finish(std::move(Recovery));
   return AG;
+}
+
+void AnalyzedGrammar::finish(std::unique_ptr<RecoverySets> Rec) {
+  Recovery = Rec ? std::move(Rec) : RecoverySets::compute(*M);
+  // Freeze lazy grammar caches so concurrent const use (the parse service
+  // sharing one analysis result across workers) never writes.
+  G->freeze();
+  Tables = std::make_unique<compiled::CompiledTables>(
+      compiled::CompiledTables::build(*this));
 }
 
 void AnalyzedGrammar::computeStats() {

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// Drives LL(*) analysis over every parsing decision of a grammar and
-/// packages the results: the ATN, one lookahead DFA per decision, and the
-/// static statistics reported in the paper's Tables 1 and 2 (decision
-/// classes and fixed-lookahead depths).
+/// packages the results: the ATN, one lookahead DFA per decision, the flat
+/// dispatch tables the runtime walks, and the static statistics reported in
+/// the paper's Tables 1 and 2 (decision classes and fixed-lookahead
+/// depths).
 ///
 /// This is the main entry point of the toolkit:
 /// \code
@@ -23,6 +24,7 @@
 #ifndef LLSTAR_ANALYSIS_ANALYZEDGRAMMAR_H
 #define LLSTAR_ANALYSIS_ANALYZEDGRAMMAR_H
 
+#include "analysis/CompiledTables.h"
 #include "analysis/DecisionAnalyzer.h"
 #include "atn/ATN.h"
 #include "dfa/LookaheadDFA.h"
@@ -61,7 +63,8 @@ struct StaticStats {
   }
 };
 
-/// A grammar plus its ATN and per-decision lookahead DFAs.
+/// A grammar plus its ATN, per-decision lookahead DFAs, and the flat tables
+/// built from them.
 class AnalyzedGrammar {
 public:
   /// Runs the full pipeline on \p G: validation happened at parse time;
@@ -71,9 +74,9 @@ public:
   analyze(std::unique_ptr<Grammar> G, DiagnosticEngine &Diags);
 
   /// Assembles from already-built parts (the deserializer's entry point;
-  /// see codegen/Serializer.h). Recomputes the static statistics. \p
-  /// Recovery carries deserialized recovery tables; pass null to recompute
-  /// them from the ATN.
+  /// see codegen/Serializer.h). Recomputes the static statistics and
+  /// builds the dispatch tables. \p Recovery carries deserialized recovery
+  /// tables; pass null to recompute them from the ATN.
   static std::unique_ptr<AnalyzedGrammar>
   fromParts(std::unique_ptr<Grammar> G, std::unique_ptr<Atn> M,
             std::vector<std::unique_ptr<LookaheadDfa>> Dfas,
@@ -106,12 +109,22 @@ public:
   /// Per-state follow/recovery tables for the error-recovering runtime.
   const RecoverySets &recovery() const { return *Recovery; }
 
+  /// The ATN and lookahead DFAs flattened into the dense tables \ref
+  /// LLStarParser walks. Built once, when the grammar is assembled; every
+  /// construction path (analyze, fromParts, and so the deserializer and
+  /// bundle reader) carries them.
+  const compiled::CompiledTables &tables() const { return *Tables; }
+
   /// Renders the Table-1-style one-line summary for this grammar.
   std::string summary() const;
 
 private:
   AnalyzedGrammar() = default;
   void computeStats();
+  /// Computes the recovery sets when \p Recovery is null, freezes the
+  /// grammar, and builds the dispatch tables: the steps every construction
+  /// path ends with.
+  void finish(std::unique_ptr<RecoverySets> Recovery);
 
   std::unique_ptr<Grammar> G;
   std::unique_ptr<Atn> M;
@@ -119,6 +132,7 @@ private:
   std::vector<DecisionReport> Reports;
   StaticStats Stats;
   std::unique_ptr<RecoverySets> Recovery;
+  std::unique_ptr<compiled::CompiledTables> Tables;
 };
 
 /// Convenience: parse + analyze grammar text. Returns null on error.

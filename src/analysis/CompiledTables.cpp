@@ -1,4 +1,4 @@
-#include "compiled/CompiledTables.h"
+#include "analysis/CompiledTables.h"
 
 #include "analysis/AnalyzedGrammar.h"
 

@@ -1,15 +1,14 @@
-//===- compiled/CompiledTables.h - Dense parser dispatch tables -*- C++ -*-===//
+//===- analysis/CompiledTables.h - Dense parser dispatch tables -*- C++ -*-===//
 //
 // Part of the llstar project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The flat, cache-friendly table layout behind the compiled parser fast
-/// path. LL(*) analysis produces pointer-rich structures (ATN states with
-/// transition vectors, lookahead-DFA states with edge lists, IntervalSet
-/// labels); the interpreting runtime chases those pointers and scans those
-/// lists on every decision. \ref CompiledTables flattens them once into
+/// The flat, cache-friendly table layout the LL(*) runtime walks. LL(*)
+/// analysis produces pointer-rich structures (ATN states with transition
+/// vectors, lookahead-DFA states with edge lists, IntervalSet labels);
+/// \ref CompiledTables flattens them once, when analysis finishes, into
 /// dense arrays:
 ///
 ///   - per-decision lookahead DFAs become dense `state x token` next-state
@@ -23,17 +22,16 @@
 /// user types [1, NumTokens] to [2, NumTokens+1]; the row width is
 /// NumTokens + 2.
 ///
-/// The same layout has two producers: \ref CompiledTables::build flattens
-/// any \ref AnalyzedGrammar at load time, and `llstar compile --emit-cpp`
-/// emits the arrays as static data in a self-contained C++ module (see
-/// codegen/CompiledModuleEmitter.h). Both feed the engine through the
-/// non-owning \ref TablesView, so generated modules and load-time builds
-/// run the identical \ref CompiledParser code path.
+/// The same layout has two producers: every \ref AnalyzedGrammar builds
+/// its own tables (\ref AnalyzedGrammar::tables), and `llstar compile
+/// --emit-cpp` emits the arrays as static data in a self-contained C++
+/// module (see codegen/CompiledModuleEmitter.h). Both feed the one engine,
+/// \ref LLStarParser, through the non-owning \ref TablesView.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef LLSTAR_COMPILED_COMPILEDTABLES_H
-#define LLSTAR_COMPILED_COMPILEDTABLES_H
+#ifndef LLSTAR_ANALYSIS_COMPILEDTABLES_H
+#define LLSTAR_ANALYSIS_COMPILEDTABLES_H
 
 #include "lexer/Token.h"
 
@@ -43,32 +41,8 @@
 namespace llstar {
 
 class AnalyzedGrammar;
-class ArenaParseTree;
-class ParseTree;
-struct Token;
 
 namespace compiled {
-
-class CompiledParser;
-
-/// A parse-tree attachment point, valid for whichever tree representation
-/// the parse was configured with (heap nodes, arena nodes, or neither when
-/// tree building is off or the parser is speculating).
-struct NodeRef {
-  ParseTree *Heap = nullptr;
-  ArenaParseTree *InArena = nullptr;
-  explicit operator bool() const { return Heap || InArena; }
-};
-
-/// Signature of a generated rule body: runs rule's ATN submachine from its
-/// start state to its stop state against \p P, attaching children to
-/// \p Parent, with every state id, token label, and jump target folded to a
-/// constant. Behaviorally identical to CompiledParser::runStates over the
-/// same tables — generated bodies call back into the engine's public
-/// primitives (consumeMatched, coldMismatch, predictAtState, callRule, ...)
-/// for everything observable, so trees, stats, diagnostics, and recovery
-/// cannot diverge. Returns false to unwind to the caller's rule-level sync.
-using NativeRuleFn = bool (*)(CompiledParser &P, NodeRef Parent);
 
 /// One flattened ATN state: the \ref AtnState fields plus its single
 /// non-decision transition (or its decision metadata) inlined. Plain
@@ -124,16 +98,6 @@ struct CDecision {
   /// DfaPredCount).
   int32_t MetaBase = 0;
 };
-
-/// Signature of a generated native predictor for one decision: walks the
-/// decision's lookahead DFA over \p Toks starting at \p Pos (LA(1) ==
-/// Toks[Pos], clamped to the trailing EOF) and returns the predicted
-/// 1-based alternative, or -1 when the walk dies. \p DepthOut receives the
-/// number of terminal edges taken (the lookahead depth used, also the
-/// depth reached on failure). Generated only for decisions whose DFA has
-/// no predicate edges, so the walk is deterministic.
-using NativePredictFn = int32_t (*)(const Token *Toks, int64_t NumToks,
-                                    int64_t Pos, int64_t &DepthOut);
 
 /// Non-owning view over a complete table set. The engine and the generated
 /// modules both speak this; all pointers must outlive the view.
@@ -191,9 +155,10 @@ struct TablesView {
 /// Owning storage for one grammar's flattened tables.
 class CompiledTables {
 public:
-  /// Flattens \p AG. The result references nothing in \p AG; the grammar
-  /// object is still needed alongside for names, vocabulary, predicates,
-  /// actions, and recovery sets (cold paths).
+  /// Flattens \p AG's ATN and lookahead DFAs. The result references
+  /// nothing in \p AG; the grammar object is still needed alongside for
+  /// names, vocabulary, predicates, actions, and recovery sets (cold
+  /// paths). AnalyzedGrammar calls this once when analysis finishes.
   static CompiledTables build(const AnalyzedGrammar &AG);
 
   const TablesView &view() const { return View; }
@@ -240,4 +205,4 @@ private:
 } // namespace compiled
 } // namespace llstar
 
-#endif // LLSTAR_COMPILED_COMPILEDTABLES_H
+#endif // LLSTAR_ANALYSIS_COMPILEDTABLES_H

@@ -11,8 +11,8 @@
 /// cycles (Section 5.5). Decision states — rule starts with several
 /// alternatives, block starts, and loop entries/back-edges — are numbered;
 /// the LL(*) analysis builds one lookahead DFA per decision, and the
-/// runtime interpreter consults that DFA whenever it stands on the
-/// decision state.
+/// runtime parser consults that DFA whenever it stands on the decision
+/// state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +28,7 @@
 
 namespace llstar {
 
-/// Role of an ATN state; used for diagnostics and interpreter bookkeeping.
+/// Role of an ATN state; used for diagnostics and runtime bookkeeping.
 enum class AtnStateKind : uint8_t {
   Basic,
   RuleStart,     ///< Entry p_A of a rule submachine.

@@ -10,7 +10,7 @@ namespace {
 /// Builds ATN submachines per the paper's Figure 7 transformation, with
 /// EBNF cycles per Section 5.5.
 ///
-/// Invariants relied upon by the analysis and the interpreter:
+/// Invariants relied upon by the analysis and the runtime tables:
 ///  - every non-decision state has exactly one outgoing transition
 ///    (rule-stop states have none);
 ///  - decision-state transitions are plain epsilons, one per alternative,

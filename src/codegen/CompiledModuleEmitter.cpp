@@ -3,7 +3,6 @@
 #include "analysis/AnalyzedGrammar.h"
 #include "codegen/Serializer.h"
 #include "compiled/CompiledRegistry.h"
-#include "compiled/CompiledTables.h"
 #include "dfa/LookaheadDFA.h"
 #include "lexer/Lexer.h"
 
@@ -66,7 +65,7 @@ bool isNativeEligible(const LookaheadDfa &Dfa) {
 }
 
 /// Emits the switch-dispatch predictor for one decision. Mirrors
-/// CompiledParser::adaptivePredict's dense walk exactly: accept states
+/// LLStarParser::adaptivePredict's dense walk exactly: accept states
 /// return before reading lookahead; EOF self-loops are omitted statically
 /// (the table walk kills them dynamically); dead states report the depth
 /// reached and return -1.
@@ -141,7 +140,7 @@ void emitNativePredictor(std::ostream &OS, const LookaheadDfa &Dfa,
 }
 
 /// Emits the goto-threaded body for rule \p R over the fused tables \p V:
-/// the same state walk CompiledParser::runStates performs, with every state
+/// the same state walk LLStarParser::runStates performs, with every state
 /// id, jump target, token label, and callee folded to a constant, and every
 /// observable effect routed through the engine's generated-code interface
 /// (consumeMatched, coldMismatch, predictAtState, callRule, ...) so the
@@ -201,7 +200,7 @@ void emitNativeRule(std::ostream &OS, const TablesView &V, int32_t R,
     return J.str();
   };
 
-  OS << "bool Rule" << R << "(CompiledParser &P, NodeRef Parent) { // "
+  OS << "bool Rule" << R << "(LLStarParser &P, NodeRef Parent) { // "
      << RuleName << "\n"
      << "  (void)P;\n  (void)Parent;\n";
   // Epsilon-loop watermarks (one per loop decision; see runStates). Locals
@@ -282,11 +281,11 @@ void emitNativeRule(std::ostream &OS, const TablesView &V, int32_t R,
            << "    if (La == TokenEof || !setHas(" << S.SetIndex
            << ", La)) {\n";
       }
-      OS << "      CompiledParser::ColdMatch M = P.coldMismatch(" << K
+      OS << "      LLStarParser::ColdMatch M = P.coldMismatch(" << K
          << ", Parent);\n"
-         << "      if (M == CompiledParser::ColdMatch::Unwind)\n"
+         << "      if (M == LLStarParser::ColdMatch::Unwind)\n"
          << "        return false;\n"
-         << "      if (M == CompiledParser::ColdMatch::Inserted)\n"
+         << "      if (M == LLStarParser::ColdMatch::Inserted)\n"
          << Jump(S.Target, "        ") << "    }\n"
          << "    P.consumeMatched(Parent);\n"
          << Jump(S.Target, "    ") << "  }\n";
@@ -324,7 +323,7 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
   Out.SymbolName = "kModule_" + Ident;
   Out.NumDecisions = int32_t(AG.numDecisions());
 
-  CompiledTables T = CompiledTables::build(AG);
+  const CompiledTables &T = AG.tables();
   const TablesView &V = T.view();
   uint64_t Hash = hashPayload(serializeGrammar(AG));
 
@@ -346,8 +345,8 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
      << "//\n"
      << "//===------------------------------------------------------------"
         "----------===//\n\n"
-     << "#include \"compiled/CompiledParser.h\"\n"
-     << "#include \"compiled/CompiledRegistry.h\"\n\n"
+     << "#include \"compiled/CompiledRegistry.h\"\n"
+     << "#include \"runtime/LLStarParser.h\"\n\n"
      << "namespace llstar {\n"
      << "namespace compiled {\n"
      << "namespace {\n\n";

@@ -5,13 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Emits an analyzed grammar as a self-contained C++ translation unit: the
-/// flat dispatch tables of compiled/CompiledTables.h as static arrays, a
-/// generated switch-dispatch predictor function per predicate-free
-/// decision, the dense lexer byte-DFA, and one extern
+/// Emits an analyzed grammar as a self-contained C++ translation unit, the
+/// native module that accelerates \ref LLStarParser: the flat dispatch
+/// tables of analysis/CompiledTables.h as static arrays, a generated
+/// switch-dispatch predictor function per predicate-free decision, a
+/// generated body per rule, the dense lexer byte-DFA, and one extern
 /// \ref llstar::compiled::CompiledGrammarModule object stamped with the
 /// FNV-1a hash of the grammar's serialized analysis payload. The emitted
-/// file compiles against compiled/CompiledRegistry.h only.
+/// file compiles against compiled/CompiledRegistry.h and
+/// runtime/LLStarParser.h only.
 ///
 /// This is the `llstar compile --emit-cpp` backend and the generator for
 /// the checked-in grammars/compiled/ registry; emission is deterministic

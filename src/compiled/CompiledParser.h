@@ -1,239 +1,28 @@
-//===- compiled/CompiledParser.h - Dense-table LL(*) parser -----*- C++ -*-===//
+//===- compiled/CompiledParser.h - Old name of LLStarParser ---*- C++ -*-===//
 //
 // Part of the llstar project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compiled fast path of the LL(*) runtime: the same parsing algorithm
-/// as \ref LLStarParser (paper Section 4), driven by the flat dispatch
-/// tables of \ref CompiledTables instead of the pointer-rich analysis
-/// structures, and optionally by generated native (switch-dispatch)
-/// predictors for predicate-free decisions.
-///
-/// Behavior is contractually identical to the interpreter: same
-/// ParserOptions, same parse trees (heap and arena, byte-identical str()),
-/// same diagnostics text and ordering, same error recovery, same
-/// ParserStats counters. CompiledConformanceTests enforces this over the
-/// fuzz corpus and the recovery golden snapshots; treat any divergence as
-/// a bug in this file.
-///
-/// What is different is dispatch cost only:
-///   - adaptivePredict does one dense-table load per lookahead token
-///     (or runs a generated switch predictor) instead of scanning edge
-///     lists,
-///   - Set transitions test a token bitset instead of an IntervalSet,
-///   - the ATN walk reads one flat CState record per step instead of
-///     chasing per-state transition vectors,
-///   - epsilon-loop watermarks live in a small linear-scan array instead
-///     of a per-rule-invocation hash map.
+/// `compiled::CompiledParser` is another name for \ref LLStarParser, the
+/// one LL(*) engine, kept so existing callers that spell it (with the
+/// tables-view constructor `CompiledParser(AG, View, Stream, Env, Diags,
+/// Opts, Native, Rules)`), such as perfbench/src/Harness.cpp, still
+/// compile. New code should use LLStarParser.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LLSTAR_COMPILED_COMPILEDPARSER_H
 #define LLSTAR_COMPILED_COMPILEDPARSER_H
 
-#include "compiled/CompiledTables.h"
-#include "lexer/TokenStream.h"
-#include "recover/ErrorStrategy.h"
+#include "compiled/CompiledRegistry.h"
 #include "runtime/LLStarParser.h"
-
-#include <memory>
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 namespace llstar {
 namespace compiled {
 
-/// An LL(*) parser over flattened tables. Construct one per parse job;
-/// the tables view (and whatever owns it) must outlive the parser.
-class CompiledParser {
-public:
-  /// \p Native, when non-null, holds one generated predictor per decision
-  /// (null entries fall back to the dense-table walk); \p NativeRules, when
-  /// non-null, one generated body per rule (null entries fall back to the
-  /// table-driven state walk). \p Env may be null when the grammar has no
-  /// predicates or actions. Reuses the interpreter's \ref ParserOptions so
-  /// callers configure both paths identically.
-  CompiledParser(const AnalyzedGrammar &AG, const TablesView &Tables,
-                 TokenStream &Stream, SemanticEnv *Env,
-                 DiagnosticEngine &Diags, ParserOptions Opts,
-                 const NativePredictFn *Native = nullptr,
-                 const NativeRuleFn *NativeRules = nullptr);
-
-  /// Same contract as LLStarParser::parse.
-  std::unique_ptr<ParseTree> parse(const std::string &RuleName = "");
-
-  bool ok() const { return LastParseOk; }
-  const ArenaParseTree *arenaTree() const { return ArenaRoot; }
-  bool deadlineExpired() const { return DeadlineHit; }
-  const ParserStats &stats() const { return Stats; }
-  ParserStats &stats() { return Stats; }
-
-  //===--------------------------------------------------------------------===//
-  // Generated-code interface
-  //
-  // Everything a generated rule body (NativeRuleFn) needs. runStates is
-  // implemented on the same primitives, so both dispatch styles share one
-  // source of truth for all observable behavior (trees, stats, diagnostics,
-  // recovery). Hot members are inline; cold paths stay out of line.
-  //===--------------------------------------------------------------------===//
-
-  /// Outcome of the cold mismatch path (see \ref coldMismatch).
-  enum class ColdMatch {
-    Unwind,   ///< no repair: return false to the rule-level sync
-    MatchNow, ///< a token was deleted; match the token now at the front
-    Inserted  ///< the expected token was conjured; skip the match
-  };
-
-  /// The cold path behind a failed Atom/Set match at \p StateId: reports
-  /// the mismatch and asks the repair strategy for a single-token fix.
-  ColdMatch coldMismatch(int32_t StateId, NodeRef Parent);
-
-  /// The hot path after a successful Atom/Set lookahead test: records the
-  /// tree child and stats, then consumes the token.
-  void consumeMatched(NodeRef Parent) {
-    if (Parent && !speculating())
-      addTokenChild(Parent);
-    if (speculating() && SpecMaxIndex < Stream.index() + 1)
-      SpecMaxIndex = Stream.index() + 1;
-    Stream.consume();
-    ++Stats.TokensConsumed;
-    InsertionsSinceConsume = 0;
-  }
-
-  /// Predicts at decision \p Decision (ATN state \p StateId), running the
-  /// panic-mode resync + one retry on a dead prediction when recovery is
-  /// on. Returns the 1-based alternative, or -1 to unwind.
-  int32_t predictAtState(int32_t Decision, int32_t StateId, NodeRef Parent);
-
-  /// Invokes rule \p Callee with \p Prec, keeping \p FollowState on the
-  /// recovery follow stack for the duration of the call.
-  bool callRule(int32_t Callee, int32_t Prec, int32_t FollowState,
-                NodeRef Parent) {
-    FollowStack.push_back(FollowState);
-    bool Ok = runRule(Callee, Prec, Parent);
-    FollowStack.pop_back();
-    return Ok;
-  }
-
-  /// Evaluates the SemPred transition at \p StateId, reporting the failure
-  /// (outside speculation) like the interpreter does.
-  bool checkPredicateAt(int32_t StateId);
-
-  void runAction(int32_t ActionIndex);
-
-  bool deadlineOk() {
-    if (NoDeadline)
-      return true; // no deadline configured: the poll can never fail
-    if (DeadlineHit)
-      return false;
-    if (--DeadlinePollCountdown > 0)
-      return true;
-    return deadlinePoll();
-  }
-
-  /// True when a generated body may predict through a direct (inlined)
-  /// call to its own predictor and skip the engine's per-decision
-  /// bookkeeping: no deadline to poll against and no stats to record, so
-  /// the fast path is observably identical to \ref predictAtState on any
-  /// successful prediction. Failed predictions must still go through
-  /// \ref predictAtState for reporting and recovery.
-  bool fastPredict() const { return FastPredictOk; }
-
-  TokenStream &stream() { return Stream; }
-
-private:
-  /// Epsilon-loop watermark entry (see runStates); rule bodies hold at
-  /// most a handful of loop decisions, so linear scan beats hashing.
-  struct LoopMark {
-    int32_t State;
-    int64_t Index;
-  };
-
-  bool runRule(int32_t RuleIndex, int32_t Precedence, NodeRef Parent);
-  bool runStates(int32_t From, int32_t Until, NodeRef Parent);
-  /// Runs rule \p RuleIndex's body: the generated native body when one
-  /// exists, the table-driven state walk otherwise.
-  bool runBody(int32_t RuleIndex, NodeRef Node) {
-    if (NativeRules && NativeRules[RuleIndex])
-      return NativeRules[RuleIndex](*this, Node);
-    return runStates(CT.RuleStarts[RuleIndex], CT.RuleStops[RuleIndex], Node);
-  }
-
-  NodeRef addRuleChild(NodeRef Parent, int32_t RuleIndex);
-  void addTokenChild(NodeRef Parent);
-  void addErrorTokenChild(NodeRef Parent);
-  void addMissingTokenChild(NodeRef Parent, TokenType Missing);
-  void addMarkerChild(NodeRef Parent);
-
-  /// Slow tail of \ref deadlineOk: the countdown expired, check the clock.
-  bool deadlinePoll();
-  /// Bulk-accounts \p Steps lookahead steps against the deadline poll
-  /// countdown after a native predictor ran (the table walk polls once per
-  /// step like the interpreter; native predictors poll in one batch).
-  bool deadlineOkSteps(int64_t Steps);
-
-  int32_t adaptivePredict(int32_t Decision);
-
-  bool evalSemanticContext(const CPredEdge &Pred);
-  bool evalNamedPredicate(int32_t PredIndex);
-  bool evalSynPredRule(int32_t FragmentRule);
-  bool evalSynPredAlt(int32_t Decision, int32_t Alt);
-
-  bool speculating() const { return SpecDepth > 0; }
-
-  void reportMismatch(TokenType Expected);
-  void reportNoViableAlt(int32_t Decision, int64_t DepthReached);
-
-  bool canRecover() const {
-    return Opts.Recover && !speculating() && !DeadlineHit;
-  }
-  ErrorStrategy &strategy() {
-    return Opts.Strategy ? *Opts.Strategy : DefaultStrategy;
-  }
-
-  IntervalSet viableAfter(int32_t State) const;
-  IntervalSet recoverySet() const;
-  void skipTokenAsError(NodeRef Parent);
-  void syncAfterRuleFailure(NodeRef Node);
-  bool recoverAtDecision(int32_t State, NodeRef Parent);
-
-  static uint64_t memoKey(int32_t Rule, int32_t Precedence, int64_t Start) {
-    return (uint64_t(uint32_t(Rule)) << 40) ^
-           (uint64_t(uint32_t(Precedence)) << 56) ^ uint64_t(Start);
-  }
-
-  const AnalyzedGrammar &AG;
-  const TablesView &CT;
-  TokenStream &Stream;
-  SemanticEnv *Env;
-  DiagnosticEngine &Diags;
-  ParserOptions Opts;
-  ParserStats Stats;
-  const NativePredictFn *Native;
-  const NativeRuleFn *NativeRules;
-
-  ErrorStrategy DefaultStrategy;
-  std::vector<int32_t> FollowStack;
-  int64_t LastErrorIndex = -1;
-  int32_t InsertionsSinceConsume = 0;
-
-  int32_t SpecDepth = 0;
-  int64_t SpecMaxIndex = 0;
-  std::vector<int32_t> PrecStack;
-  std::unordered_map<uint64_t, int64_t> Memo;
-  std::unordered_set<std::string> ReportedUnbound;
-  bool LastParseOk = false;
-  ArenaParseTree *ArenaRoot = nullptr;
-  bool NoDeadline = false;
-  bool FastPredictOk = false;
-  bool DeadlineHit = false;
-  int32_t DeadlinePollCountdown = DeadlinePollInterval;
-  static constexpr int32_t DeadlinePollInterval = 256;
-};
+using CompiledParser = LLStarParser;
 
 } // namespace compiled
 } // namespace llstar

@@ -74,9 +74,7 @@ llstar::compiled::resolveCompiledTables(const AnalyzedGrammar &AG,
       }
     }
   }
-  auto Owned = std::make_shared<CompiledTables>(CompiledTables::build(AG));
-  Res.View = Owned->view();
-  Res.Owned = std::move(Owned);
+  Res.View = AG.tables().view();
   return Res;
 }
 

@@ -5,29 +5,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The conformance-gated registry of ahead-of-time compiled grammar
-/// modules. `llstar compile --emit-cpp` turns a grammar into a
-/// self-contained C++ module holding the flat dispatch tables of
-/// compiled/CompiledTables.h as static data, generated switch predictors
-/// for its predicate-free decisions, and the dense lexer byte-DFA; the
-/// module registers itself here under the grammar's name plus the FNV-1a
-/// hash of its serialized analysis payload.
+/// The conformance-gated registry of native grammar modules, the optional
+/// accelerator of \ref LLStarParser. `llstar compile --emit-cpp` turns a
+/// grammar into a self-contained C++ module holding the flat dispatch
+/// tables of analysis/CompiledTables.h as static data, generated switch
+/// predictors for its predicate-free decisions, generated rule bodies, and
+/// the dense lexer byte-DFA; the module registers itself here under the
+/// grammar's name plus the FNV-1a hash of its serialized analysis payload.
 ///
 /// The hash is the gate: \ref resolveCompiledTables only serves a module
 /// when the payload hash of the grammar just loaded matches the hash the
 /// module was generated from. A stale module (grammar edited after the
-/// last `--emit-cpp` run) silently falls back to flattening the fresh
-/// analysis at load time — same engine, same behavior, only the zero-cost
-/// static tables and native predictors are skipped. CI additionally fails
-/// the build when regenerating a module produces a diff, so shipped
-/// modules cannot go stale unnoticed.
+/// last `--emit-cpp` run) is skipped: the parser walks the tables the
+/// analysis built, with the same behavior and without the generated code.
+/// CI additionally fails the build when regenerating a module produces a
+/// diff, so shipped modules cannot go stale unnoticed.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LLSTAR_COMPILED_COMPILEDREGISTRY_H
 #define LLSTAR_COMPILED_COMPILEDREGISTRY_H
 
-#include "compiled/CompiledTables.h"
+#include "analysis/CompiledTables.h"
+#include "runtime/LLStarParser.h"
 
 #include <cstdint>
 #include <memory>
@@ -50,7 +50,8 @@ struct CompiledGrammarModule {
   /// was generated from (see \ref hashPayload).
   uint64_t PayloadHash = 0;
 
-  /// The flat parser tables (static-storage twin of CompiledTables).
+  /// The flat parser tables (static-storage twin of the grammar's
+  /// AnalyzedGrammar::tables()).
   TablesView Tables;
   /// Per decision: generated switch predictor, or null for decisions that
   /// need the table walk (predicated DFAs). Null when none were generated.
@@ -85,25 +86,26 @@ const CompiledGrammarModule *findCompiledModule(std::string_view GrammarName);
 /// All registered modules (stable registration order).
 std::vector<const CompiledGrammarModule *> compiledModules();
 
-/// A resolved set of compiled tables for one grammar: either a registered
-/// module whose payload hash matched (zero-cost static tables + native
-/// predictors) or a load-time flattening of the analysis.
+/// What a grammar's parses may use beyond its own tables: the generated code
+/// of a registered module whose payload hash matched, or nothing.
 struct CompiledResolution {
-  /// Owns the tables when flattened at load time; null for module hits.
-  std::shared_ptr<const CompiledTables> Owned;
+  /// The tables to walk: the module's static copy, or the grammar's own
+  /// AnalyzedGrammar::tables() when no module matched.
   TablesView View;
   const NativePredictFn *Native = nullptr;
   const NativeRuleFn *Rules = nullptr;
-  /// The matched module, or null when flattened at load time.
+  /// The matched module, or null.
   const CompiledGrammarModule *Module = nullptr;
 
   bool fromModule() const { return Module != nullptr; }
+  /// The generated code to pass to \ref LLStarParser (empty without a
+  /// module).
+  NativeCode native() const { return {Native, Rules}; }
 };
 
-/// Resolves tables for \p AG. \p SerializedPayload is the output of
+/// Resolves the module for \p AG. \p SerializedPayload is the output of
 /// serializeGrammar(AG) (the caller computes it because this library must
-/// not depend on the serializer); pass empty to skip the module lookup and
-/// always flatten.
+/// not depend on the serializer); pass empty to skip the module lookup.
 CompiledResolution resolveCompiledTables(const AnalyzedGrammar &AG,
                                          std::string_view SerializedPayload);
 

@@ -1,6 +1,5 @@
 #include "incremental/IncrementalSession.h"
 
-#include "compiled/CompiledParser.h"
 #include "runtime/LLStarParser.h"
 
 #include <chrono>
@@ -9,6 +8,15 @@
 
 using namespace llstar;
 using namespace llstar::incremental;
+
+namespace {
+
+/// The native module code \p Opts asks its parses to use.
+NativeCode nativeCode(const GrammarBundle &Bundle, const SessionOptions &Opts) {
+  return Opts.UseCompiled ? Bundle.compiledTables().native() : NativeCode();
+}
+
+} // namespace
 
 IncrementalSession::IncrementalSession(
     std::shared_ptr<const GrammarBundle> Bundle, SessionOptions Opts)
@@ -180,25 +188,12 @@ EditOutcome IncrementalSession::parseCurrent(
   }
 
   const AnalyzedGrammar &AG = Bundle->analyzed();
-  std::unique_ptr<ParseTree> NewHeapRoot;
-  const ArenaParseTree *NewArenaRoot = nullptr;
-  ParserStats S;
-  bool ParseOk;
-  if (Opts.UseCompiled) {
-    const compiled::CompiledResolution &CT = Bundle->compiledTables();
-    compiled::CompiledParser P(AG, CT.View, *NewStream, /*Env=*/nullptr, Diags,
-                               PO, CT.Native, CT.Rules);
-    NewHeapRoot = P.parse(Opts.StartRule);
-    NewArenaRoot = P.arenaTree();
-    ParseOk = P.ok();
-    S = P.stats();
-  } else {
-    LLStarParser P(AG, *NewStream, /*Env=*/nullptr, Diags, PO);
-    NewHeapRoot = P.parse(Opts.StartRule);
-    NewArenaRoot = P.arenaTree();
-    ParseOk = P.ok();
-    S = P.stats();
-  }
+  LLStarParser P(AG, *NewStream, /*Env=*/nullptr, Diags, PO,
+                 nativeCode(*Bundle, Opts));
+  std::unique_ptr<ParseTree> NewHeapRoot = P.parse(Opts.StartRule);
+  const ArenaParseTree *NewArenaRoot = P.arenaTree();
+  bool ParseOk = P.ok();
+  ParserStats &S = P.stats();
 
   // Commit: the new tree replaces the old, the old arena is recycled.
   HeapRoot = std::move(NewHeapRoot);
@@ -262,26 +257,18 @@ ScratchResult llstar::incremental::scratchParse(const GrammarBundle &Bundle,
     PO.TreeArena = &A;
 
   const AnalyzedGrammar &AG = Bundle.analyzed();
-  auto Finish = [&](auto &P, std::unique_ptr<ParseTree> Root) {
-    R.ParseOk = P.ok();
-    if (Root) {
-      R.TreeText = Root->str(AG.grammar());
-      R.TreeNodes = int64_t(Root->size());
-      R.ErrorLeaves = int64_t(Root->numErrorNodes());
-    } else if (P.arenaTree()) {
-      R.TreeText = P.arenaTree()->str(AG.grammar(), Stream);
-      R.TreeNodes = int64_t(P.arenaTree()->size());
-      R.ErrorLeaves = int64_t(P.arenaTree()->numErrorNodes());
-    }
-  };
-  if (Opts.UseCompiled) {
-    const compiled::CompiledResolution &CT = Bundle.compiledTables();
-    compiled::CompiledParser P(AG, CT.View, Stream, /*Env=*/nullptr, Diags, PO,
-                               CT.Native, CT.Rules);
-    Finish(P, P.parse(Opts.StartRule));
-  } else {
-    LLStarParser P(AG, Stream, /*Env=*/nullptr, Diags, PO);
-    Finish(P, P.parse(Opts.StartRule));
+  LLStarParser P(AG, Stream, /*Env=*/nullptr, Diags, PO,
+                 nativeCode(Bundle, Opts));
+  std::unique_ptr<ParseTree> Root = P.parse(Opts.StartRule);
+  R.ParseOk = P.ok();
+  if (Root) {
+    R.TreeText = Root->str(AG.grammar());
+    R.TreeNodes = int64_t(Root->size());
+    R.ErrorLeaves = int64_t(Root->numErrorNodes());
+  } else if (P.arenaTree()) {
+    R.TreeText = P.arenaTree()->str(AG.grammar(), Stream);
+    R.TreeNodes = int64_t(P.arenaTree()->size());
+    R.ErrorLeaves = int64_t(P.arenaTree()->numErrorNodes());
   }
   R.DiagText = Diags.str();
   return R;

@@ -23,8 +23,8 @@
 /// ordinary reparsing of the affected region, degrading gracefully to a
 /// full reparse in the worst case.
 ///
-/// Sessions work in every engine/tree-mode combination: interpreted or
-/// compiled tables, heap or arena trees (arena sessions ping-pong two
+/// Sessions work in every mode combination: with or without the native
+/// module, heap or arena trees (arena sessions ping-pong two
 /// arenas so splices can copy out of the old tree while the new one is
 /// built), recovery on or off.
 ///
@@ -60,7 +60,8 @@ namespace incremental {
 /// Configuration for one session, fixed at construction.
 struct SessionOptions {
   bool Recover = true;     ///< error-recovering parses (error leaves etc.)
-  bool UseCompiled = false; ///< dense-table engine instead of the interpreter
+  /// Use the registered native module when its payload hash matches.
+  bool UseCompiled = false;
   bool UseArena = false;   ///< arena parse trees instead of heap nodes
   bool Reuse = true;       ///< false: full relex + reparse per edit (the
                            ///< baseline the benchmarks compare against)

@@ -56,7 +56,8 @@ struct Token {
   /// Byte offset of the token's first character in the original input (the
   /// EOF token's offset is the input length). Edit-range mapping in
   /// src/incremental/ relies on this being set uniformly by every lexer
-  /// path, interpreted and compiled alike; -1 only for hand-built tokens.
+  /// path, spec-compiled and native-module lexers alike; -1 only for
+  /// hand-built tokens.
   int64_t Offset = -1;
   /// Index within the (channel-filtered) token stream; set by the lexer.
   int64_t Index = -1;

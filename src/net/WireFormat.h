@@ -244,7 +244,8 @@ constexpr uint8_t EditActionClose = 2; ///< discard the session
 
 /// Session mode bits, honored at Reset (session creation) only.
 constexpr uint8_t EditModeRecover = 1;  ///< error-recovering parses
-constexpr uint8_t EditModeCompiled = 2; ///< dense-table engine
+/// Use the registered native module when its payload hash matches.
+constexpr uint8_t EditModeCompiled = 2;
 constexpr uint8_t EditModeArena = 4;    ///< arena parse trees
 constexpr uint8_t EditModeNoReuse = 8;  ///< full reparse per edit (baseline)
 

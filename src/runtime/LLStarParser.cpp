@@ -1,10 +1,9 @@
 #include "runtime/LLStarParser.h"
 
-#include "support/StringUtils.h"
-
 #include <cassert>
 
 using namespace llstar;
+using namespace llstar::compiled;
 
 namespace {
 
@@ -30,10 +29,24 @@ LLStarParser::LLStarParser(const AnalyzedGrammar &AG, TokenStream &Stream,
 
 LLStarParser::LLStarParser(const AnalyzedGrammar &AG, TokenStream &Stream,
                            SemanticEnv *Env, DiagnosticEngine &Diags,
-                           ParserOptions Opts)
-    : AG(AG), M(AG.atn()), Stream(Stream), Env(Env), Diags(Diags),
-      Opts(Opts) {
-  Stats.ensure(AG.numDecisions());
+                           ParserOptions Opts, NativeCode Native)
+    : LLStarParser(AG, AG.tables().view(), Stream, Env, Diags, Opts,
+                   Native.Predict, Native.Rules) {}
+
+LLStarParser::LLStarParser(const AnalyzedGrammar &AG, const TablesView &Tables,
+                           TokenStream &Stream, SemanticEnv *Env,
+                           DiagnosticEngine &Diags, ParserOptions Opts,
+                           const NativePredictFn *Native,
+                           const NativeRuleFn *NativeRules)
+    : AG(AG), CT(Tables), Stream(Stream), Env(Env), Diags(Diags), Opts(Opts),
+      Native(Native), NativeRules(NativeRules) {
+  Stats.ensure(size_t(CT.NumDecisions));
+  NoDeadline =
+      this->Opts.Deadline == std::chrono::steady_clock::time_point::max();
+  // Reuse hooks observe every prediction event, so generated bodies must
+  // not shortcut prediction past the engine when one is installed.
+  FastPredictOk =
+      NoDeadline && !this->Opts.CollectStats && !this->Opts.Hooks;
 }
 
 std::unique_ptr<ParseTree> LLStarParser::parse(const std::string &RuleName) {
@@ -65,7 +78,7 @@ std::unique_ptr<ParseTree> LLStarParser::parse(const std::string &RuleName) {
       Root.Heap = HeapRoot.get();
   }
   unsigned ErrorsBefore = Diags.errorCount();
-  bool Ok = runStates(M.ruleStart(Rule), M.ruleStop(Rule), Root);
+  bool Ok = runBody(Rule, Root);
   if (!Ok && canRecover()) {
     // Top-level sync: the invocation stack is empty, so the recovery set is
     // {EOF} and this drains the remaining input as error leaves.
@@ -77,15 +90,13 @@ std::unique_ptr<ParseTree> LLStarParser::parse(const std::string &RuleName) {
 }
 
 //===----------------------------------------------------------------------===//
-// Core interpretation
+// Core walk
 //===----------------------------------------------------------------------===//
 
 bool LLStarParser::runRule(int32_t RuleIndex, int32_t Precedence,
                            NodeRef Parent) {
   const Rule &R = AG.grammar().rule(RuleIndex);
 
-  // Memoize speculative whole-rule parses (packrat memoization; only while
-  // speculating, per paper Section 6.2).
   uint64_t Key = 0;
   bool UseMemo = speculating() && Opts.Memoize;
   if (UseMemo) {
@@ -129,14 +140,11 @@ bool LLStarParser::runRule(int32_t RuleIndex, int32_t Precedence,
 
   if (R.IsPrecedenceRule)
     PrecStack.push_back(Precedence);
-  bool Ok = runStates(M.ruleStart(RuleIndex), M.ruleStop(RuleIndex), Node);
+  bool Ok = runBody(RuleIndex, Node);
   if (R.IsPrecedenceRule)
     PrecStack.pop_back();
 
   if (!Ok && canRecover()) {
-    // Sync-and-return: pretend the rule completed, resynchronizing the
-    // input to a token some caller can match. The error was already
-    // reported; the skipped region survives as error leaves under Node.
     syncAfterRuleFailure(Node);
     Ok = true;
   }
@@ -152,143 +160,168 @@ bool LLStarParser::runRule(int32_t RuleIndex, int32_t Precedence,
 bool LLStarParser::runStates(int32_t From, int32_t Until, NodeRef Parent) {
   int32_t P = From;
   // Guards against loop decisions that iterate without consuming input
-  // (an epsilon-matching loop body).
-  std::unordered_map<int32_t, int64_t> LoopWatermark;
+  // (an epsilon-matching loop body). A rule body holds at most a few loop
+  // decisions, so a linear-scan array stands in for a hash map.
+  LoopMark MarksInline[4];
+  size_t NumMarks = 0;
+  std::vector<LoopMark> MarksSpill;
 
+  const CState *States = CT.States;
   while (P != Until) {
     if (!deadlineOk())
       return false;
-    const AtnState &S = M.state(P);
+    const CState &S = States[P];
 
-    if (S.isDecision()) {
-      int32_t Alt = adaptivePredict(S.Decision);
-      if (Alt < 0) {
-        // Panic recovery: drop tokens nobody can accept, then retry the
-        // prediction once if the resync token is matchable right here.
-        // A second failure unwinds to the rule-level sync in runRule.
-        if (!canRecover() || !recoverAtDecision(P, Parent))
-          return false;
-        Alt = adaptivePredict(S.Decision);
-        if (Alt < 0)
-          return false;
-      }
-      bool IsLoop = S.Kind == AtnStateKind::StarLoopEntry ||
-                    S.Kind == AtnStateKind::PlusLoopBack;
+    if (S.Decision >= 0) {
+      int32_t Alt = predictAtState(S.Decision, P, Parent);
+      if (Alt < 0)
+        return false;
+      bool IsLoop = S.Kind == int32_t(AtnStateKind::StarLoopEntry) ||
+                    S.Kind == int32_t(AtnStateKind::PlusLoopBack);
       if (IsLoop) {
-        int32_t ExitAlt = int32_t(S.Transitions.size());
+        int32_t ExitAlt = S.NumAlts;
         if (Alt != ExitAlt) {
-          auto [It, Inserted] = LoopWatermark.emplace(P, Stream.index());
-          if (!Inserted) {
-            if (It->second == Stream.index())
-              Alt = ExitAlt; // no progress since last iteration: exit
+          LoopMark *Found = nullptr;
+          for (size_t I = 0; I < NumMarks && I < 4; ++I)
+            if (MarksInline[I].State == P)
+              Found = &MarksInline[I];
+          if (!Found)
+            for (LoopMark &LM : MarksSpill)
+              if (LM.State == P)
+                Found = &LM;
+          if (!Found) {
+            if (NumMarks < 4)
+              MarksInline[NumMarks] = {P, Stream.index()};
             else
-              It->second = Stream.index();
+              MarksSpill.push_back({P, Stream.index()});
+            ++NumMarks;
+          } else if (Found->Index == Stream.index()) {
+            Alt = ExitAlt; // no progress since last iteration: exit
+          } else {
+            Found->Index = Stream.index();
           }
         }
       }
-      P = S.Transitions[size_t(Alt) - 1].Target;
+      P = CT.AltTargets[size_t(S.FirstAltTarget) + size_t(Alt) - 1];
       continue;
     }
 
-    assert(S.Transitions.size() == 1 &&
-           "non-decision states have exactly one transition");
-    const AtnTransition &T = S.Transitions[0];
-    switch (T.Kind) {
+    switch (AtnTransitionKind(S.TransKind)) {
     case AtnTransitionKind::Epsilon:
     case AtnTransitionKind::SynPred:
       // Syntactic predicates were consulted during prediction; once an
       // alternative is chosen the gate is a no-op.
-      P = T.Target;
+      P = S.Target;
       break;
     case AtnTransitionKind::Set:
     case AtnTransitionKind::Atom: {
-      bool Matches = T.Kind == AtnTransitionKind::Atom
-                         ? Stream.LA(1) == T.Label
-                         : (Stream.LA(1) != TokenEof &&
-                            T.Labels.contains(Stream.LA(1)));
+      TokenType La = Stream.LA(1);
+      bool IsAtom = S.TransKind == int32_t(AtnTransitionKind::Atom);
+      bool Matches = IsAtom ? La == S.Label
+                            : (La != TokenEof && CT.setContains(S.SetIndex, La));
       if (!Matches) {
-        if (speculating() || DeadlineHit)
-          return false;
-        reportMismatch(T.Kind == AtnTransitionKind::Atom ? T.Label
-                                                         : TokenInvalid);
-        if (!canRecover())
-          return false;
-        IntervalSet Expected = T.Kind == AtnTransitionKind::Atom
-                                   ? IntervalSet::of(T.Label)
-                                   : T.Labels;
-        RepairContext Ctx{Stream.LA(1), Stream.LA(2), Expected,
-                          viableAfter(T.Target), InsertionsSinceConsume};
-        RepairAction Act = strategy().onMismatch(Ctx);
-        if (Act == RepairAction::DeleteToken) {
-          // The next token matches: the current one is spurious.
-          Diags.note(Stream.LT(1).Loc, "deleted '" +
-                                           std::string(Stream.LT(1).Text) +
-                                           "' to recover");
-          skipTokenAsError(Parent);
-          ++Stats.TokensDeleted;
-          // Fall through to match the token now at the front.
-        } else if (Act == RepairAction::InsertToken) {
-          // Conjure the expected token: the parse continues as if it were
-          // present, leaving a zero-width Missing error leaf.
-          TokenType Conjured =
-              T.Kind == AtnTransitionKind::Atom
-                  ? T.Label
-                  : firstUserToken(Expected);
-          Diags.note(Stream.LT(1).Loc,
-                     "inserted missing " +
-                         AG.grammar().vocabulary().name(Conjured) +
-                         " to recover");
-          addMissingTokenChild(Parent, Conjured);
-          ++Stats.TokensInserted;
-          ++InsertionsSinceConsume;
-          P = T.Target;
-          break;
-        } else {
+        ColdMatch Act = coldMismatch(P, Parent);
+        if (Act == ColdMatch::Unwind)
           return false; // unwind to the rule-level sync
+        if (Act == ColdMatch::Inserted) {
+          P = S.Target;
+          break;
         }
+        // DeleteToken dropped the spurious token; fall through to match
+        // the one now at the front.
       }
-      if (Parent && !speculating())
-        addTokenChild(Parent);
-      if (speculating() && SpecMaxIndex < Stream.index() + 1)
-        SpecMaxIndex = Stream.index() + 1;
-      Stream.consume();
-      ++Stats.TokensConsumed;
-      InsertionsSinceConsume = 0;
-      P = T.Target;
+      consumeMatched(Parent);
+      P = S.Target;
       break;
     }
-    case AtnTransitionKind::Rule: {
-      FollowStack.push_back(T.FollowState);
-      bool Ok = runRule(T.RuleIndex, T.Precedence, Parent);
-      FollowStack.pop_back();
-      if (!Ok)
+    case AtnTransitionKind::Rule:
+      if (!callRule(S.CalleeRule, S.Precedence, S.FollowState, Parent))
         return false;
-      P = T.FollowState;
+      P = S.FollowState;
       break;
-    }
     case AtnTransitionKind::SemPred:
-      if (!evalNamedPredicate(T.PredIndex)) {
-        if (!speculating()) {
-          const AtnPredicate &Pred = M.predicate(T.PredIndex);
-          Diags.error(Stream.LT(1).Loc,
-                      "rule " + AG.grammar().rule(S.RuleIndex).Name +
-                          " failed predicate {" + Pred.Name + "}?");
-        }
+      if (!checkPredicateAt(P))
         return false;
-      }
-      P = T.Target;
+      P = S.Target;
       break;
     case AtnTransitionKind::Action:
-      runAction(T.ActionIndex);
-      P = T.Target;
+      runAction(S.ActionIndex);
+      P = S.Target;
       break;
     }
   }
   return true;
 }
 
-LLStarParser::NodeRef LLStarParser::addRuleChild(NodeRef Parent,
-                                                 int32_t RuleIndex) {
+LLStarParser::ColdMatch LLStarParser::coldMismatch(int32_t StateId,
+                                                   NodeRef Parent) {
+  if (speculating() || DeadlineHit)
+    return ColdMatch::Unwind;
+  const CState &S = CT.States[StateId];
+  bool IsAtom = S.TransKind == int32_t(AtnTransitionKind::Atom);
+  reportMismatch(IsAtom ? S.Label : TokenInvalid);
+  if (!canRecover())
+    return ColdMatch::Unwind;
+  // The repair strategy wants the expected set as an IntervalSet, which
+  // the flat tables do not carry — read it back from the source ATN.
+  IntervalSet Expected = IsAtom
+                             ? IntervalSet::of(S.Label)
+                             : AG.atn().state(StateId).Transitions[0].Labels;
+  RepairContext Ctx{Stream.LA(1), Stream.LA(2), Expected,
+                    viableAfter(S.Target), InsertionsSinceConsume};
+  RepairAction Act = strategy().onMismatch(Ctx);
+  if (Act == RepairAction::DeleteToken) {
+    // The next token matches: the current one is spurious.
+    Diags.note(Stream.LT(1).Loc, "deleted '" +
+                                     std::string(Stream.LT(1).Text) +
+                                     "' to recover");
+    skipTokenAsError(Parent);
+    ++Stats.TokensDeleted;
+    return ColdMatch::MatchNow;
+  }
+  if (Act == RepairAction::InsertToken) {
+    // Conjure the expected token: the parse continues as if it were
+    // present, leaving a zero-width Missing error leaf.
+    TokenType Conjured = IsAtom ? S.Label : firstUserToken(Expected);
+    Diags.note(Stream.LT(1).Loc,
+               "inserted missing " +
+                   AG.grammar().vocabulary().name(Conjured) + " to recover");
+    addMissingTokenChild(Parent, Conjured);
+    ++Stats.TokensInserted;
+    ++InsertionsSinceConsume;
+    return ColdMatch::Inserted;
+  }
+  return ColdMatch::Unwind;
+}
+
+int32_t LLStarParser::predictAtState(int32_t Decision, int32_t StateId,
+                                     NodeRef Parent) {
+  int32_t Alt = adaptivePredict(Decision);
+  if (Alt < 0) {
+    // Panic recovery: drop tokens nobody can accept, then retry the
+    // prediction once if the resync token is matchable right here.
+    // A second failure unwinds to the rule-level sync in runRule.
+    if (!canRecover() || !recoverAtDecision(StateId, Parent))
+      return -1;
+    Alt = adaptivePredict(Decision);
+  }
+  return Alt;
+}
+
+bool LLStarParser::checkPredicateAt(int32_t StateId) {
+  const CState &S = CT.States[StateId];
+  if (evalNamedPredicate(S.PredIndex))
+    return true;
+  if (!speculating()) {
+    const AtnPredicate &Pred = AG.atn().predicate(S.PredIndex);
+    Diags.error(Stream.LT(1).Loc,
+                "rule " + AG.grammar().rule(S.RuleIndex).Name +
+                    " failed predicate {" + Pred.Name + "}?");
+  }
+  return false;
+}
+
+NodeRef LLStarParser::addRuleChild(NodeRef Parent, int32_t RuleIndex) {
   NodeRef Node;
   if (Parent.Heap)
     Node.Heap = Parent.Heap->addChild(ParseTree::ruleNode(RuleIndex));
@@ -343,11 +376,7 @@ void LLStarParser::addMarkerChild(NodeRef Parent) {
   }
 }
 
-bool LLStarParser::deadlineOk() {
-  if (DeadlineHit)
-    return false;
-  if (--DeadlinePollCountdown > 0)
-    return true;
+bool LLStarParser::deadlinePoll() {
   DeadlinePollCountdown = DeadlinePollInterval;
   if (Opts.Deadline == std::chrono::steady_clock::time_point::max() ||
       std::chrono::steady_clock::now() <= Opts.Deadline)
@@ -359,12 +388,44 @@ bool LLStarParser::deadlineOk() {
   return false;
 }
 
+bool LLStarParser::deadlineOkSteps(int64_t Steps) {
+  if (DeadlineHit)
+    return false;
+  if (int64_t(DeadlinePollCountdown) > Steps) {
+    DeadlinePollCountdown -= int32_t(Steps);
+    return true;
+  }
+  return deadlinePoll();
+}
+
 //===----------------------------------------------------------------------===//
 // Prediction
 //===----------------------------------------------------------------------===//
 
 int32_t LLStarParser::adaptivePredict(int32_t Decision) {
-  const LookaheadDfa &Dfa = AG.dfa(Decision);
+  if (Native && Native[Decision]) {
+    // Generated switch predictor: only emitted for predicate-free DFAs, so
+    // the walk is deterministic and never speculates.
+    if (!deadlineOk())
+      return -1;
+    const std::vector<Token> &Toks = Stream.tokens();
+    int64_t Depth = 0;
+    int32_t Alt = Native[Decision](Toks.data(), int64_t(Toks.size()),
+                                   Stream.index(), Depth);
+    if (!deadlineOkSteps(Depth))
+      return -1;
+    if (Opts.Hooks)
+      Opts.Hooks->lookahead(Stream.index() + std::max<int64_t>(Depth, 1));
+    if (Opts.CollectStats)
+      Stats.Decisions[size_t(Decision)].record(std::max<int64_t>(Depth, 1),
+                                               /*Backtracked=*/false, Alt);
+    if (Alt < 0 && !speculating() && !DeadlineHit)
+      reportNoViableAlt(Decision, Depth);
+    return Alt;
+  }
+
+  const CDecision &D = CT.Decisions[Decision];
+  const int32_t MetaBase = D.MetaBase;
   int32_t S = 0;
   int64_t Depth = 0;
   int64_t StartIndex = Stream.index();
@@ -385,13 +446,13 @@ int32_t LLStarParser::adaptivePredict(int32_t Decision) {
   while (true) {
     if (!deadlineOk())
       return -1;
-    const DfaState &St = Dfa.state(S);
-    if (St.isAccept()) {
-      Record(Depth, St.PredictedAlt);
-      return St.PredictedAlt;
+    int32_t Accept = CT.DfaAccept[size_t(MetaBase) + size_t(S)];
+    if (Accept > 0) {
+      Record(Depth, Accept);
+      return Accept;
     }
     TokenType T = Stream.LA(Depth + 1);
-    int32_t Next = St.edgeOn(T);
+    int32_t Next = CT.dfaNext(D, S, T);
     if (Next == S && T == TokenEof)
       Next = -1; // EOF self-loops cannot make progress
     if (Next >= 0) {
@@ -401,11 +462,16 @@ int32_t LLStarParser::adaptivePredict(int32_t Decision) {
     }
     // No terminal edge applies: try the predicate edges in alternative
     // order (ordered choice; lower alternatives take precedence).
-    for (const DfaPredEdge &E : St.PredEdges) {
+    int32_t PredFirst = CT.DfaPredFirst[size_t(MetaBase) + size_t(S)];
+    int32_t PredCount = CT.DfaPredCount[size_t(MetaBase) + size_t(S)];
+    for (int32_t E = 0; E < PredCount; ++E) {
+      const CPredEdge &PE = CT.PredEdges[size_t(PredFirst) + size_t(E)];
       int64_t SpecBefore = SpecMaxIndex;
       SpecMaxIndex = StartIndex + Depth;
-      bool IsSyn = E.Pred.isSyntactic();
-      bool Holds = evalSemanticContext(E.Pred);
+      bool IsSyn =
+          PE.Kind == int32_t(SemanticContext::Kind::SynPredRule) ||
+          PE.Kind == int32_t(SemanticContext::Kind::SynPredAlt);
+      bool Holds = evalSemanticContext(PE);
       int64_t Reach = SpecMaxIndex - StartIndex;
       SpecMaxIndex = std::max(SpecBefore, SpecMaxIndex);
       if (IsSyn) {
@@ -413,8 +479,8 @@ int32_t LLStarParser::adaptivePredict(int32_t Decision) {
         Depth = std::max(Depth, Reach);
       }
       if (Holds) {
-        Record(Depth, E.Alt);
-        return E.Alt;
+        Record(Depth, PE.Alt);
+        return PE.Alt;
       }
     }
     Record(Depth, /*Alt=*/-1);
@@ -424,8 +490,8 @@ int32_t LLStarParser::adaptivePredict(int32_t Decision) {
   }
 }
 
-bool LLStarParser::evalSemanticContext(const SemanticContext &Pred) {
-  switch (Pred.K) {
+bool LLStarParser::evalSemanticContext(const CPredEdge &Pred) {
+  switch (SemanticContext::Kind(Pred.Kind)) {
   case SemanticContext::Kind::None:
     return true;
   case SemanticContext::Kind::Pred:
@@ -439,7 +505,7 @@ bool LLStarParser::evalSemanticContext(const SemanticContext &Pred) {
 }
 
 bool LLStarParser::evalNamedPredicate(int32_t PredIndex) {
-  const AtnPredicate &P = M.predicate(PredIndex);
+  const AtnPredicate &P = AG.atn().predicate(PredIndex);
   if (P.isPrecedence()) {
     // Precedence gates read only the invocation's precedence argument,
     // which is part of the reuse key — no poisoning needed.
@@ -471,14 +537,13 @@ bool LLStarParser::evalSynPredRule(int32_t FragmentRule) {
 
 bool LLStarParser::evalSynPredAlt(int32_t Decision, int32_t Alt) {
   ++Stats.SynPredEvals;
-  const AtnState &S = M.state(M.decisionState(Decision));
-  assert(Alt >= 1 && size_t(Alt) <= S.Transitions.size() &&
-         "alternative out of range");
+  const CState &S = CT.States[CT.DecisionStates[Decision]];
+  assert(Alt >= 1 && Alt <= S.NumAlts && "alternative out of range");
   assert(S.EndState >= 0 && "decision has no end state");
   int64_t Mark = Stream.index();
   ++SpecDepth;
-  bool Ok = runStates(S.Transitions[size_t(Alt) - 1].Target, S.EndState,
-                      NodeRef());
+  bool Ok = runStates(CT.AltTargets[size_t(S.FirstAltTarget) + size_t(Alt) - 1],
+                      S.EndState, NodeRef());
   --SpecDepth;
   Stream.seek(Mark);
   return Ok;
@@ -489,7 +554,7 @@ void LLStarParser::runAction(int32_t ActionIndex) {
   // action is skipped during speculation (it would run on re-execution).
   if (Opts.Hooks)
     Opts.Hooks->opaque();
-  const AtnAction &A = M.action(ActionIndex);
+  const AtnAction &A = AG.atn().action(ActionIndex);
   if (speculating() && !A.Always)
     return; // mutators are deactivated during speculation (Section 4.3)
   if (Env)
@@ -528,7 +593,7 @@ void LLStarParser::reportNoViableAlt(int32_t Decision, int64_t DepthReached) {
   // Report at the token that killed the DFA walk, not at the decision start
   // (paper Section 4.4).
   const Token &T = Stream.LT(DepthReached + 1);
-  const AtnState &S = M.state(M.decisionState(Decision));
+  const CState &S = CT.States[CT.DecisionStates[Decision]];
   std::string RuleName =
       S.RuleIndex >= 0 ? AG.grammar().rule(S.RuleIndex).Name : "<none>";
   Diags.error(T.Loc, "no viable alternative at input '" + std::string(T.Text) +

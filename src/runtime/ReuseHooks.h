@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The contract between the parsing engines and the incremental-reparse
-/// subsystem (src/incremental/). When ParserOptions::Hooks is set, both the
-/// interpreting LLStarParser and the compiled CompiledParser call back at
-/// the same points:
+/// subsystem (src/incremental/). When ParserOptions::Hooks is set,
+/// LLStarParser calls back at these points, whichever of its dispatch
+/// layers (table walk, native predictors, native rule bodies) runs:
 ///
 ///   - tryReuse() before running a non-speculative rule invocation: a hit
 ///     splices a previously built subtree into the tree under construction

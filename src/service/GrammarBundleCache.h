@@ -68,9 +68,10 @@ public:
   uint64_t contentHash() const { return Hash; }
   const std::string &name() const { return AG->grammar().Name; }
 
-  /// Dense-table fast path for this grammar: a hash-matched registered
-  /// module, or tables flattened from the analysis on first request.
-  /// Thread-safe; every later call returns the same resolution.
+  /// The registered native module for this grammar when its payload hash
+  /// matches (resolved on first request; the grammar's own tables and no
+  /// generated code otherwise). Thread-safe; every later call returns the
+  /// same resolution.
   const compiled::CompiledResolution &compiledTables() const;
 
 private:

@@ -1,6 +1,5 @@
 #include "service/ParseService.h"
 
-#include "compiled/CompiledParser.h"
 #include "lexer/TokenStream.h"
 #include "runtime/LLStarParser.h"
 
@@ -293,53 +292,43 @@ ParseResult ParseService::runJob(Job &J, WorkerState &State) {
     Opts.Deadline = J.DeadlineAt;
 
   auto Start = std::chrono::steady_clock::now();
-  // Post-parse handling shared by both engines; they expose the same parse
-  // surface (ok/deadlineExpired/arenaTree/stats) with identical semantics.
-  auto Finish = [&](auto &P) {
-    double Millis = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - Start)
-                        .count();
-
-    if (P.deadlineExpired())
-      R.Status = ParseStatus::DeadlineExceeded;
-    else if (P.ok())
-      R.Status = ParseStatus::Ok;
-    else
-      R.Status =
-          J.Req.Recover ? ParseStatus::Recovered : ParseStatus::SyntaxError;
-    R.DiagText = Diags.str();
-    if (R.Status == ParseStatus::Recovered ||
-        R.Status == ParseStatus::SyntaxError)
-      for (Diagnostic &D : Diags.sorted())
-        if (D.Severity == DiagSeverity::Error)
-          R.Errors.push_back(std::move(D));
-    R.ParseMillis = Millis;
-    if (J.Req.WantTree && P.arenaTree()) {
-      R.TreeText = P.arenaTree()->str(AG.grammar(), Stream);
-      R.TreeNodes = int64_t(P.arenaTree()->size());
-    }
-    // The tree (and every node allocated for it) dies here, in O(1).
-    State.TreeArena.reset();
-
-    {
-      std::lock_guard<std::mutex> Lock(State.Mu);
-      State.Stats.merge(P.stats());
-      State.TokensParsed += R.NumTokens;
-      State.ParseMillis += Millis;
-    }
-    return R;
-  };
-
-  if (Config.UseCompiled) {
-    const compiled::CompiledResolution &CT = J.Req.Bundle->compiledTables();
-    compiled::CompiledParser P(AG, CT.View, Stream, /*Env=*/nullptr, Diags,
-                               Opts, CT.Native, CT.Rules);
-    P.parse(J.Req.StartRule);
-    return Finish(P);
-  }
-  LLStarParser P(AG, Stream, /*Env=*/nullptr, Diags, Opts);
+  NativeCode Native = Config.UseCompiled
+                          ? J.Req.Bundle->compiledTables().native()
+                          : NativeCode();
+  LLStarParser P(AG, Stream, /*Env=*/nullptr, Diags, Opts, Native);
   P.parse(J.Req.StartRule);
-  return Finish(P);
+  double Millis = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - Start)
+                      .count();
+
+  if (P.deadlineExpired())
+    R.Status = ParseStatus::DeadlineExceeded;
+  else if (P.ok())
+    R.Status = ParseStatus::Ok;
+  else
+    R.Status =
+        J.Req.Recover ? ParseStatus::Recovered : ParseStatus::SyntaxError;
+  R.DiagText = Diags.str();
+  if (R.Status == ParseStatus::Recovered ||
+      R.Status == ParseStatus::SyntaxError)
+    for (Diagnostic &D : Diags.sorted())
+      if (D.Severity == DiagSeverity::Error)
+        R.Errors.push_back(std::move(D));
+  R.ParseMillis = Millis;
+  if (J.Req.WantTree && P.arenaTree()) {
+    R.TreeText = P.arenaTree()->str(AG.grammar(), Stream);
+    R.TreeNodes = int64_t(P.arenaTree()->size());
+  }
+  // The tree (and every node allocated for it) dies here, in O(1).
+  State.TreeArena.reset();
+
+  {
+    std::lock_guard<std::mutex> Lock(State.Mu);
+    State.Stats.merge(P.stats());
+    State.TokensParsed += R.NumTokens;
+    State.ParseMillis += Millis;
+  }
+  return R;
 }
 
 //===----------------------------------------------------------------------===//

@@ -78,9 +78,9 @@ struct ServiceConfig {
   /// Start workers in the constructor. Tests set this false to fill the
   /// queue deterministically, then call start().
   bool AutoStart = true;
-  /// Parse with the compiled fast path (dense tables / generated
-  /// predictors; see compiled/CompiledParser.h). Results are contractually
-  /// identical to the interpreter; only throughput changes.
+  /// Use the registered native module when its payload hash matches (see
+  /// compiled/CompiledRegistry.h). Results are identical either way; only
+  /// throughput changes.
   bool UseCompiled = false;
 };
 

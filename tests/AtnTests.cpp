@@ -2,7 +2,7 @@
 //
 // Structural checks of the grammar -> ATN transformation (paper Figure 7
 // plus EBNF cycles, Section 5.5) and the invariants the analysis and the
-// interpreter rely on.
+// runtime rely on.
 //
 //===----------------------------------------------------------------------===//
 

@@ -1,29 +1,40 @@
-//===- tests/CompiledConformanceTests.cpp - Compiled-path conformance -----===//
+//===- tests/CompiledConformanceTests.cpp - One engine, every path --------===//
 //
-// The compiled fast path (compiled/CompiledParser.h) is contractually
-// identical to the interpreting runtime: same verdicts, byte-identical
-// trees and diagnostics, identical ParserStats. This suite enforces the
-// contract three ways:
+// LLStarParser is the one LL(*) engine; a native module only accelerates
+// it. This suite holds every way of reaching the engine to the same
+// observable output: verdict, diagnostics, heap and arena trees, and the
+// full ParserStats.
 //
-//   - differentially over the whole fuzz corpus (tests/corpus/*.g, the
-//     same sampled sentences + mutants FuzzRegressionTests replays),
-//     with and without error recovery,
-//   - against the recovery golden snapshots of the shipped grammars
-//     (tests/golden/recovery/*.txt), heap and arena trees both,
-//   - through the checked-in compiled modules: every shipped grammar must
+//   - Over the fuzz corpus (tests/corpus/*.g, the same sampled sentences
+//     + mutants FuzzRegressionTests replays), with and without error
+//     recovery: the parse through the analyzed grammar must match the
+//     parse through the grammar read back from `llstarbundle` bytes, and
+//     the digest recorded in tests/golden/corpus/<grammar>.txt. Those
+//     digests were recorded from the ATN interpreter the table walk
+//     replaced, so the walk keeps reproducing it.
+//   - Against the recovery golden snapshots of the shipped grammars
+//     (tests/golden/recovery/*.txt), heap and arena trees both, with and
+//     without the native module.
+//   - Through the checked-in native modules: every shipped grammar must
 //     hash-match its registered module (stale modules fail here *and* in
 //     the CI regen-diff gate), the module lexer must tokenize identically
 //     to the spec-compiled lexer, and parses through the module's static
-//     tables + native predictors must match the interpreter.
+//     tables, native predictors and rule bodies must match the table walk
+//     alone.
+//   - Through every AnalyzedGrammar construction path: analyze, fromParts,
+//     deserializeGrammar and bundle bytes all carry tables and parse alike.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
+#include "analysis/DecisionAnalyzer.h"
+#include "atn/ATNBuilder.h"
 #include "codegen/Serializer.h"
-#include "compiled/CompiledParser.h"
 #include "compiled/CompiledRegistry.h"
 #include "fuzz/SentenceGen.h"
 #include "fuzz/SentenceSampler.h"
+#include "grammar/GrammarParser.h"
+#include "leftrec/LeftRecursionRewriter.h"
 #include "runtime/Arena.h"
 #include "service/GrammarBundleCache.h"
 
@@ -33,8 +44,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -51,10 +66,14 @@ std::string slurp(const std::filesystem::path &Path) {
   return Out.str();
 }
 
+std::filesystem::path sourcePath(const std::string &Rel) {
+  return std::filesystem::path(LLSTAR_SOURCE_DIR) / Rel;
+}
+
 std::vector<std::filesystem::path> corpusFiles() {
   std::vector<std::filesystem::path> Files;
-  auto Dir = std::filesystem::path(LLSTAR_SOURCE_DIR) / "tests" / "corpus";
-  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(sourcePath("tests/corpus")))
     if (Entry.path().extension() == ".g")
       Files.push_back(Entry.path());
   std::sort(Files.begin(), Files.end());
@@ -86,6 +105,39 @@ struct Capture {
   std::string ArenaTree;
   size_t HeapErrorNodes = 0;
   std::string StatsJson; ///< full per-decision stats, serialized
+  /// Heap tree of a parse with stats off: with no deadline either, that is
+  /// the configuration where native rule bodies call their predictors
+  /// directly instead of through the engine.
+  std::string FastTree;
+
+  /// FNV-1a over every field: the form tests/golden/corpus/ records.
+  std::string digest() const {
+    uint64_t H = 0xcbf29ce484222325ull;
+    auto Mix = [&H](std::string_view S) {
+      for (char C : S)
+        H = (H ^ uint64_t(uint8_t(C))) * 0x100000001b3ull;
+      H = (H ^ 0x1f) * 0x100000001b3ull;
+    };
+    Mix(Ok ? "ok" : "fail");
+    Mix(DeadlineHit ? "deadline" : "-");
+    Mix(DiagText);
+    Mix(HeapTree);
+    Mix(ArenaTree);
+    Mix(std::to_string(HeapErrorNodes));
+    Mix(StatsJson);
+    Mix(FastTree);
+    char Buf[17];
+    std::snprintf(Buf, sizeof(Buf), "%016llx", (unsigned long long)H);
+    return Buf;
+  }
+};
+
+/// How a capture reaches the engine: the grammar's own tables, or a
+/// module's static tables with its native code and lexer.
+struct Route {
+  const compiled::TablesView *View = nullptr;
+  NativeCode Native;
+  const Lexer *Lex = nullptr;
 };
 
 ParserOptions baseOptions(const AnalyzedGrammar &AG, bool Recover) {
@@ -95,64 +147,40 @@ ParserOptions baseOptions(const AnalyzedGrammar &AG, bool Recover) {
   return Opts;
 }
 
-Capture runInterpreted(const AnalyzedGrammar &AG, const std::string &Input,
-                       bool Recover) {
-  Capture C;
-  {
-    TokenStream Stream(lex(AG, Input));
-    DiagnosticEngine Diags;
-    LLStarParser P(AG, Stream, nullptr, Diags, baseOptions(AG, Recover));
-    auto Tree = P.parse();
-    C.Ok = P.ok();
-    C.DeadlineHit = P.deadlineExpired();
-    C.DiagText = Diags.str();
-    C.StatsJson = P.stats().json(/*IncludeDecisions=*/true);
-    if (Tree) {
-      C.HeapTree = Tree->str(AG.grammar());
-      C.HeapErrorNodes = Tree->numErrorNodes();
-    }
-  }
-  {
-    TokenStream Stream(lex(AG, Input));
-    DiagnosticEngine Diags;
-    Arena TreeArena;
-    ParserOptions Opts = baseOptions(AG, Recover);
-    Opts.TreeArena = &TreeArena;
-    LLStarParser P(AG, Stream, nullptr, Diags, Opts);
-    P.parse();
-    if (P.arenaTree())
-      C.ArenaTree = P.arenaTree()->str(AG.grammar(), Stream);
-  }
-  return C;
-}
-
-Capture runCompiled(const AnalyzedGrammar &AG,
-                    const compiled::TablesView &View,
-                    const compiled::NativePredictFn *Native,
-                    const std::string &Input, bool Recover,
-                    const Lexer *LexOverride = nullptr,
-                    const compiled::NativeRuleFn *Rules = nullptr) {
+Capture capture(const AnalyzedGrammar &AG, const std::string &Input,
+                bool Recover, const Route &Via = Route()) {
   auto Tokenize = [&] {
-    if (!LexOverride)
+    if (!Via.Lex)
       return lex(AG, Input);
     DiagnosticEngine Diags;
-    return LexOverride->tokenize(Input, Diags);
+    return Via.Lex->tokenize(Input, Diags);
+  };
+  auto Parse = [&](TokenStream &Stream, DiagnosticEngine &Diags,
+                   const ParserOptions &Opts, auto &&Use) {
+    if (Via.View) {
+      LLStarParser P(AG, *Via.View, Stream, nullptr, Diags, Opts,
+                     Via.Native.Predict, Via.Native.Rules);
+      Use(P);
+    } else {
+      LLStarParser P(AG, Stream, nullptr, Diags, Opts, Via.Native);
+      Use(P);
+    }
   };
   Capture C;
   {
     TokenStream Stream(Tokenize());
     DiagnosticEngine Diags;
-    compiled::CompiledParser P(AG, View, Stream, nullptr, Diags,
-                               baseOptions(AG, Recover), Native, Rules);
-    auto Tree = P.parse();
-    C.Ok = P.ok();
-    C.DeadlineHit = P.deadlineExpired();
+    Parse(Stream, Diags, baseOptions(AG, Recover), [&](LLStarParser &P) {
+      auto Tree = P.parse();
+      C.Ok = P.ok();
+      C.DeadlineHit = P.deadlineExpired();
+      C.StatsJson = P.stats().json(/*IncludeDecisions=*/true);
+      if (Tree) {
+        C.HeapTree = Tree->str(AG.grammar());
+        C.HeapErrorNodes = Tree->numErrorNodes();
+      }
+    });
     C.DiagText = Diags.str();
-    C.StatsJson = P.stats().json(/*IncludeDecisions=*/true);
-    if (Tree) {
-      C.HeapTree = Tree->str(AG.grammar());
-      C.HeapErrorNodes = Tree->numErrorNodes();
-    }
   }
   {
     TokenStream Stream(Tokenize());
@@ -160,24 +188,35 @@ Capture runCompiled(const AnalyzedGrammar &AG,
     Arena TreeArena;
     ParserOptions Opts = baseOptions(AG, Recover);
     Opts.TreeArena = &TreeArena;
-    compiled::CompiledParser P(AG, View, Stream, nullptr, Diags, Opts,
-                               Native, Rules);
-    P.parse();
-    if (P.arenaTree())
-      C.ArenaTree = P.arenaTree()->str(AG.grammar(), Stream);
+    Parse(Stream, Diags, Opts, [&](LLStarParser &P) {
+      P.parse();
+      if (P.arenaTree())
+        C.ArenaTree = P.arenaTree()->str(AG.grammar(), Stream);
+    });
+  }
+  {
+    TokenStream Stream(Tokenize());
+    DiagnosticEngine Diags;
+    ParserOptions Opts = baseOptions(AG, Recover);
+    Opts.CollectStats = false;
+    Parse(Stream, Diags, Opts, [&](LLStarParser &P) {
+      if (auto Tree = P.parse())
+        C.FastTree = Tree->str(AG.grammar());
+    });
   }
   return C;
 }
 
-void expectIdentical(const Capture &Int, const Capture &Cmp,
+void expectIdentical(const Capture &Want, const Capture &Got,
                      const std::string &Context) {
-  EXPECT_EQ(Int.Ok, Cmp.Ok) << Context;
-  EXPECT_EQ(Int.DeadlineHit, Cmp.DeadlineHit) << Context;
-  EXPECT_EQ(Int.DiagText, Cmp.DiagText) << Context;
-  EXPECT_EQ(Int.HeapTree, Cmp.HeapTree) << Context;
-  EXPECT_EQ(Int.ArenaTree, Cmp.ArenaTree) << Context;
-  EXPECT_EQ(Int.HeapErrorNodes, Cmp.HeapErrorNodes) << Context;
-  EXPECT_EQ(Int.StatsJson, Cmp.StatsJson) << Context;
+  EXPECT_EQ(Want.Ok, Got.Ok) << Context;
+  EXPECT_EQ(Want.DeadlineHit, Got.DeadlineHit) << Context;
+  EXPECT_EQ(Want.DiagText, Got.DiagText) << Context;
+  EXPECT_EQ(Want.HeapTree, Got.HeapTree) << Context;
+  EXPECT_EQ(Want.ArenaTree, Got.ArenaTree) << Context;
+  EXPECT_EQ(Want.HeapErrorNodes, Got.HeapErrorNodes) << Context;
+  EXPECT_EQ(Want.StatsJson, Got.StatsJson) << Context;
+  EXPECT_EQ(Want.FastTree, Got.FastTree) << Context;
 }
 
 //===----------------------------------------------------------------------===//
@@ -188,12 +227,18 @@ class CompiledCorpusConformance
     : public ::testing::TestWithParam<std::filesystem::path> {};
 
 TEST_P(CompiledCorpusConformance, MatchesInterpreterOnSampledSentences) {
-  const std::filesystem::path &Path = GetParam();
-  auto AG = analyzeOrFail(slurp(Path));
+  const std::filesystem::path &File = GetParam();
+  auto AG = analyzeOrFail(slurp(File));
   ASSERT_TRUE(AG);
-  compiled::CompiledTables Tables = compiled::CompiledTables::build(*AG);
+  DiagnosticEngine BundleDiags;
+  std::unique_ptr<CompiledGrammar> FromBundle =
+      readBundle(writeBundle(*AG), BundleDiags);
+  ASSERT_TRUE(FromBundle) << BundleDiags.str();
 
-  fuzz::SentenceSampler Sampler(AG->grammar(), fileSeed(Path));
+  // One line per case: "<case> <recover> <digest>".
+  std::string Recorded;
+  fuzz::SentenceSampler Sampler(AG->grammar(), fileSeed(File));
+  int Case = 0;
   for (int S = 0; S < 8; ++S) {
     std::vector<std::string> Tokens = Sampler.sample();
     std::vector<std::string> Inputs{fuzz::SentenceSampler::render(Tokens)};
@@ -202,15 +247,31 @@ TEST_P(CompiledCorpusConformance, MatchesInterpreterOnSampledSentences) {
           fuzz::SentenceSampler::render(Sampler.mutate(Tokens)));
     for (const std::string &Input : Inputs) {
       for (bool Recover : {false, true}) {
-        Capture Int = runInterpreted(*AG, Input, Recover);
-        Capture Cmp = runCompiled(*AG, Tables.view(), nullptr, Input, Recover);
-        expectIdentical(Int, Cmp,
-                        Path.filename().string() + (Recover ? " [recover] <"
-                                                            : " <") +
-                            Input + ">");
+        std::string Context = File.filename().string() +
+                              (Recover ? " [recover] <" : " <") + Input + ">";
+        Capture Walk = capture(*AG, Input, Recover);
+        Capture Read = capture(*FromBundle->AG, Input, Recover,
+                               {nullptr, {}, FromBundle->Lex.get()});
+        expectIdentical(Walk, Read, Context + " (from bundle bytes)");
+        Recorded += std::to_string(Case) + (Recover ? " 1 " : " 0 ") +
+                    Walk.digest() + "\n";
       }
+      ++Case;
     }
   }
+
+  std::filesystem::path Golden = sourcePath("tests/golden/corpus") /
+                                 (File.stem().string() + ".txt");
+  if (std::getenv("LLSTAR_REGEN_GOLDEN")) {
+    std::ofstream Out(Golden, std::ios::binary);
+    ASSERT_TRUE(Out.good()) << Golden;
+    Out << Recorded;
+    return;
+  }
+  EXPECT_EQ(Recorded, slurp(Golden))
+      << "parses of " << File.filename().string()
+      << " no longer match the recorded interpreter digests; regenerate "
+         "with LLSTAR_REGEN_GOLDEN=1 only for an intended change";
 }
 
 std::string corpusTestName(
@@ -234,8 +295,8 @@ struct GoldenCase {
   const char *Input;
 };
 
-// Same cases RecoveryTests pins for the interpreter; the compiled path
-// must reproduce the committed snapshots byte for byte.
+// Same cases RecoveryTests pins; the table walk and the native module must
+// both reproduce the committed snapshots byte for byte.
 const GoldenCase GoldenCases[] = {
     {"csv", "a,b\n\"x\" y,c\n"},
     {"dot", "digraph g { a -> -> b ; x = ; }"},
@@ -246,31 +307,48 @@ const GoldenCase GoldenCases[] = {
     {"sexpr", "(a b)) (c"},
 };
 
+std::unique_ptr<AnalyzedGrammar> shippedGrammar(const char *Name) {
+  std::string Text =
+      slurp(sourcePath("grammars/" + std::string(Name) + ".g"));
+  EXPECT_FALSE(Text.empty()) << Name;
+  return analyzeOrFail(Text);
+}
+
+/// The module registered for \p AG, asserting its payload hash matches.
+compiled::CompiledResolution shippedModule(const AnalyzedGrammar &AG) {
+  compiled::registerShippedGrammars();
+  compiled::CompiledResolution Res =
+      compiled::resolveCompiledTables(AG, serializeGrammar(AG));
+  const std::string &Name = AG.grammar().Name;
+  EXPECT_TRUE(Res.fromModule())
+      << "stale compiled module for " << Name
+      << "; regenerate with: llstar compile grammars/" << Name
+      << ".g --emit-cpp -o grammars/compiled/" << Name << "_compiled.cpp";
+  return Res;
+}
+
 TEST(CompiledConformance, GoldenRecoveredTreesMatchSnapshots) {
   for (const GoldenCase &C : GoldenCases) {
     SCOPED_TRACE(C.Grammar);
-    std::string Text = slurp(std::filesystem::path(LLSTAR_SOURCE_DIR) /
-                             "grammars" / (std::string(C.Grammar) + ".g"));
-    ASSERT_FALSE(Text.empty());
-    auto AG = analyzeOrFail(Text);
+    auto AG = shippedGrammar(C.Grammar);
     ASSERT_TRUE(AG);
-    compiled::CompiledTables Tables = compiled::CompiledTables::build(*AG);
 
-    Capture Cmp =
-        runCompiled(*AG, Tables.view(), nullptr, C.Input, /*Recover=*/true);
-    EXPECT_FALSE(Cmp.Ok);
-    EXPECT_GE(Cmp.HeapErrorNodes, 1u) << Cmp.HeapTree;
-    EXPECT_EQ(Cmp.ArenaTree, Cmp.HeapTree);
+    Capture Walk = capture(*AG, C.Input, /*Recover=*/true);
+    EXPECT_FALSE(Walk.Ok);
+    EXPECT_GE(Walk.HeapErrorNodes, 1u) << Walk.HeapTree;
+    EXPECT_EQ(Walk.ArenaTree, Walk.HeapTree);
 
-    std::string Expected =
-        slurp(std::filesystem::path(LLSTAR_SOURCE_DIR) / "tests" / "golden" /
-              "recovery" / (std::string(C.Grammar) + ".txt"));
+    std::string Expected = slurp(sourcePath("tests/golden/recovery/" +
+                                            std::string(C.Grammar) + ".txt"));
     ASSERT_FALSE(Expected.empty());
-    EXPECT_EQ(std::string(C.Input) + "\n" + Cmp.HeapTree + "\n", Expected)
-        << "compiled recovery diverges from the committed golden snapshot";
+    EXPECT_EQ(std::string(C.Input) + "\n" + Walk.HeapTree + "\n", Expected)
+        << "recovery diverges from the committed golden snapshot";
 
-    Capture Int = runInterpreted(*AG, C.Input, /*Recover=*/true);
-    expectIdentical(Int, Cmp, C.Grammar);
+    compiled::CompiledResolution Res = shippedModule(*AG);
+    auto ModuleLex = compiled::makeModuleLexer(*Res.Module);
+    Capture Native = capture(*AG, C.Input, /*Recover=*/true,
+                             {&Res.View, Res.native(), ModuleLex.get()});
+    expectIdentical(Walk, Native, C.Grammar);
   }
 }
 
@@ -279,21 +357,13 @@ TEST(CompiledConformance, GoldenRecoveredTreesMatchSnapshots) {
 //===----------------------------------------------------------------------===//
 
 TEST(CompiledConformance, ShippedModulesHashMatchAndAgree) {
-  compiled::registerShippedGrammars();
   for (const GoldenCase &C : GoldenCases) { // one entry per shipped grammar
     SCOPED_TRACE(C.Grammar);
-    std::string Text = slurp(std::filesystem::path(LLSTAR_SOURCE_DIR) /
-                             "grammars" / (std::string(C.Grammar) + ".g"));
-    auto AG = analyzeOrFail(Text);
+    auto AG = shippedGrammar(C.Grammar);
     ASSERT_TRUE(AG);
 
-    compiled::CompiledResolution Res =
-        compiled::resolveCompiledTables(*AG, serializeGrammar(*AG));
-    ASSERT_TRUE(Res.fromModule())
-        << "stale compiled module for " << C.Grammar
-        << "; regenerate with: llstar compile grammars/" << C.Grammar
-        << ".g --emit-cpp -o grammars/compiled/" << C.Grammar
-        << "_compiled.cpp";
+    compiled::CompiledResolution Res = shippedModule(*AG);
+    ASSERT_TRUE(Res.fromModule());
     EXPECT_NE(Res.Native, nullptr);
     EXPECT_NE(Res.Rules, nullptr);
 
@@ -308,6 +378,9 @@ TEST(CompiledConformance, ShippedModulesHashMatchAndAgree) {
     ASSERT_FALSE(Inputs.empty());
     if (Inputs.size() > 6)
       Inputs.resize(6);
+    // The recovery golden input again: a rejected sentence drives the
+    // native bodies into the engine's reporting and recovery paths.
+    Inputs.push_back(C.Input);
     for (const std::string &Input : Inputs) {
       DiagnosticEngine D1;
       std::vector<Token> A = ModuleLex->tokenize(Input, D1);
@@ -320,22 +393,22 @@ TEST(CompiledConformance, ShippedModulesHashMatchAndAgree) {
         EXPECT_EQ(A[I].Loc.Column, B[I].Loc.Column);
       }
 
-      // And module tables + native predictors + generated rule bodies must
-      // match the interpreter.
+      // Table walk alone vs the module's static tables + native
+      // predictors + generated rule bodies, and vs the native code over
+      // the grammar's own tables (what the tools pass).
       for (bool Recover : {false, true}) {
-        Capture Int = runInterpreted(*AG, Input, Recover);
-        Capture Cmp = runCompiled(*AG, Res.View, Res.Native, Input, Recover,
-                                  ModuleLex.get(), Res.Rules);
-        expectIdentical(Int, Cmp,
-                        std::string(C.Grammar) + " <" + Input + ">");
+        std::string Context = std::string(C.Grammar) + " <" + Input + ">";
+        Capture Walk = capture(*AG, Input, Recover);
+        expectIdentical(Walk,
+                        capture(*AG, Input, Recover,
+                                {&Res.View, Res.native(), ModuleLex.get()}),
+                        Context + " (module tables)");
+        expectIdentical(Walk,
+                        capture(*AG, Input, Recover,
+                                {nullptr, Res.native(), nullptr}),
+                        Context + " (own tables)");
       }
     }
-    // The recovery golden input again, now through the module's static
-    // tables (predicated decisions exercise the fallback walk).
-    Capture Int = runInterpreted(*AG, C.Input, /*Recover=*/true);
-    Capture Cmp = runCompiled(*AG, Res.View, Res.Native, C.Input,
-                              /*Recover=*/true, ModuleLex.get(), Res.Rules);
-    expectIdentical(Int, Cmp, std::string(C.Grammar) + " golden");
   }
 }
 
@@ -345,8 +418,7 @@ TEST(CompiledConformance, BundlesFromSourceAndBundleBytesHashMatch) {
   // has no lexer spec), so it must hash-match the shipped module exactly
   // like the same grammar analyzed from source.
   compiled::registerShippedGrammars();
-  std::string Text = slurp(std::filesystem::path(LLSTAR_SOURCE_DIR) /
-                           "grammars" / "json.g");
+  std::string Text = slurp(sourcePath("grammars/json.g"));
   auto AG = analyzeOrFail(Text);
   ASSERT_TRUE(AG);
   std::string Payload = serializeGrammar(*AG);
@@ -362,8 +434,7 @@ TEST(CompiledConformance, BundlesFromSourceAndBundleBytesHashMatch) {
 
 TEST(CompiledConformance, HashGateRejectsStaleModules) {
   compiled::registerShippedGrammars();
-  std::string Text = slurp(std::filesystem::path(LLSTAR_SOURCE_DIR) /
-                           "grammars" / "json.g");
+  std::string Text = slurp(sourcePath("grammars/json.g"));
   auto AG = analyzeOrFail(Text);
   ASSERT_TRUE(AG);
   std::string Payload = serializeGrammar(*AG);
@@ -373,7 +444,8 @@ TEST(CompiledConformance, HashGateRejectsStaleModules) {
   ASSERT_NE(M, nullptr);
 
   // A module whose payload hash disagrees (a grammar edited after its last
-  // --emit-cpp run) must fall back to load-time flattening.
+  // --emit-cpp run) must be skipped: the grammar's own tables, no native
+  // code.
   static compiled::CompiledGrammarModule Stale;
   Stale = *M;
   Stale.PayloadHash ^= 1;
@@ -381,17 +453,124 @@ TEST(CompiledConformance, HashGateRejectsStaleModules) {
   compiled::CompiledResolution Res =
       compiled::resolveCompiledTables(*AG, Payload);
   EXPECT_FALSE(Res.fromModule());
-  EXPECT_NE(Res.Owned, nullptr);
+  EXPECT_EQ(Res.View.States, AG->tables().view().States);
   EXPECT_EQ(Res.Native, nullptr);
+  EXPECT_EQ(Res.native().Rules, nullptr);
 
   // Restore the genuine module and confirm the gate opens again.
   compiled::registerShippedGrammars();
   Res = compiled::resolveCompiledTables(*AG, Payload);
   EXPECT_TRUE(Res.fromModule());
 
-  // An empty payload skips the registry entirely (explicit flatten).
+  // An empty payload skips the registry entirely.
   Res = compiled::resolveCompiledTables(*AG, "");
   EXPECT_FALSE(Res.fromModule());
+}
+
+//===----------------------------------------------------------------------===//
+// Construction paths
+//===----------------------------------------------------------------------===//
+
+/// Rebuilds \p Text's analysis by hand and assembles it with fromParts.
+std::unique_ptr<AnalyzedGrammar> assembleFromParts(const std::string &Text) {
+  DiagnosticEngine Diags;
+  std::unique_ptr<Grammar> G = parseGrammarText(Text, Diags, false);
+  if (!G)
+    return nullptr;
+  rewriteLeftRecursion(*G, Diags);
+  G->validate(Diags);
+  if (Diags.hasErrors())
+    return nullptr;
+  std::unique_ptr<Atn> M = buildAtn(*G);
+  AnalysisOptions Opts = AnalysisOptions::fromGrammar(G->Options);
+  std::vector<std::unique_ptr<LookaheadDfa>> Dfas;
+  for (size_t D = 0; D < M->numDecisions(); ++D)
+    Dfas.push_back(analyzeDecision(*M, int32_t(D), Opts, Diags, nullptr));
+  return AnalyzedGrammar::fromParts(std::move(G), std::move(M),
+                                    std::move(Dfas));
+}
+
+/// Every field of two table sets, element by element.
+void expectSameTables(const compiled::CompiledTables &A,
+                      const compiled::CompiledTables &B) {
+  const compiled::TablesView &X = A.view(), &Y = B.view();
+  ASSERT_EQ(X.NumTokens, Y.NumTokens);
+  ASSERT_EQ(X.NumStates, Y.NumStates);
+  ASSERT_EQ(X.NumRules, Y.NumRules);
+  ASSERT_EQ(X.NumDecisions, Y.NumDecisions);
+  ASSERT_EQ(X.SetWordsPerSet, Y.SetWordsPerSet);
+  ASSERT_EQ(A.numAltTargets(), B.numAltTargets());
+  ASSERT_EQ(A.numDfaTransEntries(), B.numDfaTransEntries());
+  ASSERT_EQ(A.numDfaStatesTotal(), B.numDfaStatesTotal());
+  ASSERT_EQ(A.numPredEdges(), B.numPredEdges());
+  ASSERT_EQ(A.numSetWords(), B.numSetWords());
+  auto Same = [](const auto *P, const auto *Q, size_t N) {
+    return N == 0 || std::memcmp(P, Q, N * sizeof(*P)) == 0;
+  };
+  EXPECT_TRUE(Same(X.States, Y.States, size_t(X.NumStates)));
+  EXPECT_TRUE(Same(X.RuleStarts, Y.RuleStarts, size_t(X.NumRules)));
+  EXPECT_TRUE(Same(X.RuleStops, Y.RuleStops, size_t(X.NumRules)));
+  EXPECT_TRUE(Same(X.AltTargets, Y.AltTargets, A.numAltTargets()));
+  EXPECT_TRUE(
+      Same(X.DecisionStates, Y.DecisionStates, size_t(X.NumDecisions)));
+  EXPECT_TRUE(Same(X.Decisions, Y.Decisions, size_t(X.NumDecisions)));
+  EXPECT_TRUE(Same(X.DfaTrans, Y.DfaTrans, A.numDfaTransEntries()));
+  EXPECT_TRUE(Same(X.DfaAccept, Y.DfaAccept, A.numDfaStatesTotal()));
+  EXPECT_TRUE(Same(X.DfaPredFirst, Y.DfaPredFirst, A.numDfaStatesTotal()));
+  EXPECT_TRUE(Same(X.DfaPredCount, Y.DfaPredCount, A.numDfaStatesTotal()));
+  EXPECT_TRUE(Same(X.PredEdges, Y.PredEdges, A.numPredEdges()));
+  EXPECT_TRUE(Same(X.SetWords, Y.SetWords, A.numSetWords()));
+}
+
+TEST(CompiledConformance, EveryConstructionPathCarriesTables) {
+  // lua has precedence rules and predicated decisions; dot and json are
+  // small. Inputs: decision-covering sentences plus the recovery case.
+  for (const GoldenCase &C : GoldenCases) {
+    SCOPED_TRACE(C.Grammar);
+    std::string Text =
+        slurp(sourcePath("grammars/" + std::string(C.Grammar) + ".g"));
+    auto Analyzed = analyzeOrFail(Text);
+    ASSERT_TRUE(Analyzed);
+    auto Assembled = assembleFromParts(Text);
+    ASSERT_TRUE(Assembled);
+    DiagnosticEngine Diags;
+    std::unique_ptr<CompiledGrammar> Deserialized =
+        deserializeGrammar(serializeGrammar(*Analyzed), Diags);
+    ASSERT_TRUE(Deserialized) << Diags.str();
+    std::shared_ptr<const GrammarBundle> Bundle =
+        makeGrammarBundle(writeBundle(*Analyzed), Diags);
+    ASSERT_TRUE(Bundle) << Diags.str();
+
+    const AnalyzedGrammar *Paths[] = {Analyzed.get(), Assembled.get(),
+                                      Deserialized->AG.get(),
+                                      &Bundle->analyzed()};
+    // Deserialized grammars carry no lexer spec, only the precompiled
+    // lexer.
+    const Lexer *Lexers[] = {nullptr, nullptr, Deserialized->Lex.get(),
+                             &Bundle->lexer()};
+    const char *Names[] = {"analyze", "fromParts", "deserializeGrammar",
+                           "bundle bytes"};
+    for (const AnalyzedGrammar *AG : Paths) {
+      EXPECT_GT(AG->tables().view().NumStates, 0);
+      EXPECT_EQ(size_t(AG->tables().view().NumDecisions),
+                AG->numDecisions());
+      expectSameTables(Analyzed->tables(), AG->tables());
+    }
+
+    fuzz::SentenceGen Gen(*Analyzed);
+    std::vector<std::string> Inputs{C.Input};
+    for (const auto &Seed : Gen.seeds())
+      if (Inputs.size() < 5)
+        Inputs.push_back(fuzz::SentenceSampler::render(Seed));
+    for (const std::string &Input : Inputs) {
+      Capture Want = capture(*Analyzed, Input, /*Recover=*/true);
+      for (size_t P = 1; P < std::size(Paths); ++P)
+        expectIdentical(Want,
+                        capture(*Paths[P], Input, /*Recover=*/true,
+                                {nullptr, {}, Lexers[P]}),
+                        std::string(Names[P]) + " <" + Input + ">");
+    }
+  }
 }
 
 } // namespace

@@ -5,8 +5,9 @@
 // the client library. The headline suite is conformance: daemon responses
 // must be byte-identical to in-process ParseService results — trees,
 // diagnostics, structured recovery errors, and the stats JSON (modulo the
-// wall-clock parseMillis fields) — across the fuzz-grammar corpus in both
-// interpreter and compiled modes. The rest pins down the daemon's
+// wall-clock parseMillis fields) — across the fuzz-grammar corpus with
+// and without `--compiled` (the parameter names keep the engines' old
+// names). The rest pins down the daemon's
 // concurrency contracts deterministically: request-id pipelining with
 // out-of-order completion, per-connection and queue backpressure, graceful
 // drain, version negotiation, and robustness against garbage bytes. All of

@@ -66,7 +66,7 @@ std::vector<SessionOptions> allModes() {
 }
 
 std::string modeName(const SessionOptions &SO) {
-  std::string M = SO.UseCompiled ? "compiled" : "interp";
+  std::string M = SO.UseCompiled ? "native" : "tables";
   M += SO.UseArena ? "+arena" : "+heap";
   M += SO.Recover ? "+recover" : "+strict";
   return M;

@@ -1,6 +1,6 @@
 //===- tests/RuntimeTests.cpp - LL(*) parser runtime tests ----------------===//
 //
-// End-to-end tests of the interpreting LL(*) parser (paper Section 4):
+// End-to-end tests of the LL(*) parser (paper Section 4):
 // DFA-driven prediction, backtracking via syntactic predicates, semantic
 // predicates, action gating, memoization, statistics, and error reporting.
 //

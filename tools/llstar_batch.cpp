@@ -53,9 +53,9 @@ int usage() {
       "  --recover         parse with error recovery: syntax errors come\n"
       "                    back as partial trees (status `recovered`, not\n"
       "                    failures)\n"
-      "  --compiled        parse with the compiled fast path (checked-in\n"
-      "                    dense-table modules when available; identical\n"
-      "                    results, higher throughput)\n"
+      "  --compiled        use the registered native module when its\n"
+      "                    payload hash matches (identical results, higher\n"
+      "                    throughput)\n"
       "  --json-metrics F  write merged service metrics JSON to F (- = stdout)\n"
       "  --stats-out F     write a decision-keyed parse profile to F, the\n"
       "                    merged ParserStats of every worker with stable\n"

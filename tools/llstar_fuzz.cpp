@@ -78,7 +78,7 @@ int usage() {
       "                      assert that tokens, tree, and diagnostics stay\n"
       "                      byte-identical to a from-scratch parse after\n"
       "                      every edit, rotating through heap|arena x\n"
-      "                      interpreted|compiled x recovery on|off\n"
+      "                      native module off|on x recovery on|off\n"
       "  --corpus DIR        edit-smoke only: take grammars from DIR/*.g\n"
       "                      instead of generating them\n"
       "  --edits N           edit-smoke: edits per session (default 8)\n"
@@ -401,7 +401,7 @@ std::string checkEditSessionOnce(std::shared_ptr<const GrammarBundle> Bundle,
   incremental::IncrementalSession S(Bundle, SO);
   std::string History;
   auto Mode = [&]() {
-    std::string M = SO.UseCompiled ? "compiled" : "interp";
+    std::string M = SO.UseCompiled ? "native" : "tables";
     M += SO.UseArena ? "+arena" : "+heap";
     M += SO.Recover ? "+recover" : "+strict";
     return M;

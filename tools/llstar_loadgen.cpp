@@ -53,7 +53,8 @@ int usage() {
       "  --recover         issue ParseRecover instead of Parse\n"
       "  --trees           request parse trees\n"
       "  --threads N       daemon worker threads (--spawn only)\n"
-      "  --compiled        daemon compiled fast path (--spawn only)\n"
+      "  --compiled        daemon uses the registered native module when\n"
+      "                    its payload hash matches (--spawn only)\n"
       "  --edit-mix R      percent of each connection's requests issued as\n"
       "                    incremental Edit ops against a per-connection\n"
       "                    session (0-100, default 0) — exercises the\n"

@@ -36,7 +36,6 @@
 #include "codegen/CompiledModuleEmitter.h"
 #include "codegen/CppGenerator.h"
 #include "codegen/Serializer.h"
-#include "compiled/CompiledParser.h"
 #include "compiled/CompiledRegistry.h"
 #include "CompiledManifest.h"
 #include "lexer/Lexer.h"
@@ -89,9 +88,8 @@ void printUsage(std::FILE *Out) {
       "        [--tree] [--stats] [--stats-json] [--peg] [--no-memoize]\n"
       "        [--recover] [--compiled]\n"
       "      parse an input file; --peg uses the packrat baseline;\n"
-      "      --compiled runs the dense-table fast path (a checked-in\n"
-      "      compiled module when its payload hash matches, else tables\n"
-      "      flattened at load time) with identical output and exit codes;\n"
+      "      --compiled uses the registered native module when its\n"
+      "      payload hash matches (same output and exit codes, faster);\n"
       "      --stats-json prints the full ParserStats as JSON;\n"
       "      --recover repairs syntax errors (error leaves in the tree,\n"
       "      sorted diagnostics) and exits 0 instead of 2 (1 with --werror)\n"
@@ -99,8 +97,8 @@ void printUsage(std::FILE *Out) {
       "      analyze once and write a versioned grammar bundle that\n"
       "      llstar-batch and the ParseService load without re-analysis\n"
       "  compile <grammar.g> --emit-cpp -o <out.cpp>\n"
-      "      emit a self-contained C++ module: dense dispatch tables and\n"
-      "      switch predictors feeding the compiled parser fast path\n"
+      "      emit a self-contained native module: dense dispatch tables,\n"
+      "      switch predictors and rule bodies that accelerate the parser\n"
       "      (see grammars/compiled/ for the checked-in registry)\n"
       "  generate <grammar.g> <ClassName> [-o <dir>]\n"
       "      emit <dir>/<ClassName>.h/.cpp embedding the precompiled\n"
@@ -149,7 +147,8 @@ int subcommandHelp(const std::string &Cmd) {
         "                    [--stats-json] [--peg] [--no-memoize]\n"
         "                    [--recover] [--compiled] [--werror]\n"
         "parse an input file; --peg uses the packrat baseline, --compiled\n"
-        "the dense-table fast path, --recover repairs syntax errors\n";
+        "uses the registered native module when its payload hash matches,\n"
+        "--recover repairs syntax errors\n";
   else if (Cmd == "compile")
     Synopsis =
         "usage: llstar compile <grammar.g> -o <out.llb>\n"
@@ -338,7 +337,7 @@ int cmdParse(const std::vector<std::string> &Args) {
   if (Recover && UsePeg)
     return usage(); // the packrat baseline has no error recovery
   if (UseCompiled && UsePeg)
-    return usage(); // the fast path accelerates the LL(*) engine only
+    return usage(); // native modules accelerate the LL(*) parser only
 
   DiagnosticEngine LexDiags;
   Lexer L(AG->grammar().lexerSpec(), LexDiags);
@@ -374,20 +373,11 @@ int cmdParse(const std::vector<std::string> &Args) {
     PackratParser P(AG->grammar(), Stream, nullptr, Diags, Opts);
     Tree = P.parse(Start);
     Ok = P.ok();
-  } else if (UseCompiled) {
-    ParserOptions Opts;
-    Opts.Memoize = Memoize;
-    Opts.Recover = Recover;
-    compiled::CompiledParser P(*AG, Compiled.View, Stream, nullptr, Diags,
-                               Opts, Compiled.Native, Compiled.Rules);
-    Tree = P.parse(Start);
-    Ok = P.ok();
-    Stats = P.stats();
   } else {
     ParserOptions Opts;
     Opts.Memoize = Memoize;
     Opts.Recover = Recover;
-    LLStarParser P(*AG, Stream, nullptr, Diags, Opts);
+    LLStarParser P(*AG, Stream, nullptr, Diags, Opts, Compiled.native());
     Tree = P.parse(Start);
     Ok = P.ok();
     Stats = P.stats();

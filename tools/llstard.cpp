@@ -43,7 +43,8 @@ int usage() {
       "  --deadline-ms D   default per-request parse deadline\n"
       "  --max-tokens N    reject inputs longer than N tokens\n"
       "  --max-inflight N  per-connection pipeline cap (default 256)\n"
-      "  --compiled        parse with the compiled fast path\n"
+      "  --compiled        use the registered native module when its\n"
+      "                    payload hash matches\n"
       "  --once-drained    exit once a client sends the Drain opcode\n");
   return 2;
 }
