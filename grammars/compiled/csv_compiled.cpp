@@ -14,83 +14,6 @@ namespace llstar {
 namespace compiled {
 namespace {
 
-const CState kStates[] = {
-    {1, 0, 0, -1, -1, 8, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 1, -1, -1, 20, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 1, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 2, -1, -1, 22, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 2, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, -1, 3, 3, 7, -1, 0, -1, -1, -1, 0, -1, -1, 0, 3},
-    {2, -1, 3, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 0, -1, -1, 2, 0, -1, 1, 9, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 10, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 0, 0, 10, -1, 0, -1, -1, -1, 0, -1, -1, 3, 2},
-    {7, 0, 0, -1, -1, 15, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 0, -1, -1, 13, 1, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 0, -1, -1, 4, 0, -1, 2, 14, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 10, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 0, 1, 16, -1, 0, -1, -1, -1, 0, -1, -1, 5, 2},
-    {4, 1, 0, -1, -1, 1, -1, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 0, -1, -1, 16, 1, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 16, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 1, -1, -1, 4, 0, -1, 2, 21, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 3, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 2, -1, -1, 6, 0, -1, 3, 23, 0, -1, -1, -1, 0},
-    {0, 0, 2, -1, -1, 24, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 2, 2, 24, -1, 0, -1, -1, -1, 0, -1, -1, 7, 2},
-    {7, 0, 2, -1, -1, 5, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 2, -1, -1, 27, 2, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 2, -1, -1, 6, 0, -1, 3, 28, 0, -1, -1, -1, 0},
-    {0, 0, 2, -1, -1, 24, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 7, 3, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 7, 4, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, -1, -1, -1, 34, -1, -1, -1, -1, 0, -1, -1, -1, 0},
-};
-const int32_t kRuleStarts[] = {
-    0, 2, 4, 6,
-};
-const int32_t kRuleStops[] = {
-    1, 3, 5, 7,
-};
-const int32_t kAltTargets[] = {
-    29, 31, 7, 12, 15, 17, 16, 26, 5,
-};
-const int32_t kDecisionStates[] = {
-    10, 15, 24, 6,
-};
-const CDecision kDecisions[] = {
-    {4, 0, 0}, {3, 28, 4}, {3, 49, 7}, {4, 70, 10},
-};
-const int32_t kDfaTrans[] = {
-    1, -1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 3, -1,
-    3, 3, 3, 3, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, 2, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, 1, -1, 1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, 1, -1, 1, 1, 2, 3, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1,
-};
-const int32_t kDfaAccept[] = {
-    -1, 2, -1, 1, -1, 2, 1, -1, 2, 1, -1, 3, 1, 2,
-};
-const int32_t kDfaPredFirst[] = {
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-};
-const int32_t kDfaPredCount[] = {
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-};
-const CPredEdge kPredEdges[] = {
-    0,
-};
-const uint64_t kSetWords[] = {
-    0,
-};
-
 int32_t Predict0(const Token *Toks, int64_t NumToks, int64_t Pos,
                  int64_t &DepthOut) {
   (void)Toks;
@@ -655,17 +578,6 @@ extern const CompiledGrammarModule kModule_Csv;
 const CompiledGrammarModule kModule_Csv = {
     /*GrammarName=*/"Csv",
     /*PayloadHash=*/0x5128288a20a93faaull,
-    /*Tables=*/
-    {
-        /*NumTokens=*/5,
-        /*NumStates=*/35,
-        /*NumRules=*/4,
-        /*NumDecisions=*/4,
-        /*SetWordsPerSet=*/1,
-        kStates, kRuleStarts, kRuleStops, kAltTargets,
-        kDecisionStates, kDecisions, kDfaTrans, kDfaAccept,
-        kDfaPredFirst, kDfaPredCount, kPredEdges, kSetWords,
-    },
     /*Native=*/kNative,
     /*Rules=*/kNativeRules,
     /*LexNext=*/kLexNext,

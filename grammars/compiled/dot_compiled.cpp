@@ -14,315 +14,6 @@ namespace llstar {
 namespace compiled {
 namespace {
 
-const CState kStates[] = {
-    {1, 0, 0, -1, -1, 21, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, -1, 1, 4, 3, -1, 0, -1, -1, -1, 0, -1, -1, 0, 5},
-    {2, -1, 1, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 2, -1, -1, 89, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 2, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 3, -1, -1, 95, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 3, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 4, -1, -1, 107, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 4, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 5, -1, -1, 114, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 5, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 6, -1, -1, 125, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 6, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 7, -1, -1, 137, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 7, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, -1, 8, 20, 17, -1, 0, -1, -1, -1, 0, -1, -1, 5, 3},
-    {2, -1, 8, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 9, -1, -1, 147, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 9, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 21, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 0, 0, 22, -1, 0, -1, -1, -1, 0, -1, -1, 8, 2},
-    {4, 0, 0, -1, -1, 25, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 0, -1, -1, 22, 1, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 22, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 0, 1, 26, -1, 0, -1, -1, -1, 0, -1, -1, 10, 2},
-    {4, 0, 0, -1, -1, 31, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 0, -1, -1, 26, 2, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 26, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 0, -1, -1, 26, 3, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 26, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 0, 2, 32, -1, 0, -1, -1, -1, 0, -1, -1, 12, 2},
-    {4, 1, 0, -1, -1, 36, 5, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 0, -1, -1, 32, 4, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 32, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 36, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 0, 3, 36, -1, 0, -1, -1, -1, 0, -1, -1, 14, 2},
-    {7, 1, 0, -1, -1, 40, 6, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 0, -1, -1, 2, 0, -1, 1, 39, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 36, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 0, -1, -1, 1, -1, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 5, 1, -1, -1, 43, 0, -1, 9, -1, 0, -1, -1, -1, 0},
-    {0, 3, 1, -1, -1, 6, 0, -1, 3, 44, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 45, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 1, 5, 46, -1, 0, -1, -1, -1, 0, -1, -1, 16, 2},
-    {4, 0, 1, -1, -1, 3, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 46, 7, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 46, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 50, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 1, 6, 51, -1, 0, -1, -1, -1, 0, -1, -1, 18, 3},
-    {4, 3, 1, -1, -1, 12, 0, -1, 6, 58, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 51, 2, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 51, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 51, 8, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 51, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 51, 9, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 51, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 59, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 1, 7, 60, -1, 0, -1, -1, -1, 0, -1, -1, 21, 2},
-    {4, 0, 1, -1, -1, 3, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 60, 7, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 60, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 65, 10, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 65, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 1, 8, 66, -1, 0, -1, -1, -1, 0, -1, -1, 23, 2},
-    {4, 1, 1, -1, -1, 70, 5, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 66, 4, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 66, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 70, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 1, 9, 70, -1, 0, -1, -1, -1, 0, -1, -1, 25, 2},
-    {7, 1, 1, -1, -1, 3, 6, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 1, -1, -1, 2, 0, -1, 1, 73, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 70, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 3, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 76, 4, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 77, 11, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 1, -1, -1, 16, 0, -1, 8, 78, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 79, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 1, 10, 80, -1, 0, -1, -1, -1, 0, -1, -1, 27, 2},
-    {4, 0, 1, -1, -1, 3, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 80, 7, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 80, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 1, -1, -1, 4, 0, -1, 2, 84, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 85, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 1, 11, 86, -1, 0, -1, -1, -1, 0, -1, -1, 29, 2},
-    {4, 0, 1, -1, -1, 3, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 86, 7, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 86, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 2, -1, -1, 10, 0, -1, 5, 90, 0, -1, -1, -1, 0},
-    {0, 0, 2, -1, -1, 91, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 2, 12, 92, -1, 0, -1, -1, -1, 0, -1, -1, 31, 2},
-    {4, 0, 2, -1, -1, 5, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 2, -1, -1, 12, 0, -1, 6, 94, 0, -1, -1, -1, 0},
-    {0, 0, 2, -1, -1, 92, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 10, 0, -1, 5, 96, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 100, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, 0, 3, -1, -1, 100, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {6, -1, 3, 13, 98, -1, 0, -1, -1, -1, 0, -1, -1, 33, 2},
-    {7, 0, 3, -1, -1, 102, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 8, 0, -1, 4, 101, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 98, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 3, 14, 103, -1, 0, -1, -1, -1, 0, -1, -1, 35, 2},
-    {4, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 12, 0, -1, 6, 105, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 103, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 4, -1, -1, 107, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 4, 15, 108, -1, 0, -1, -1, -1, 0, -1, -1, 37, 2},
-    {4, 3, 4, -1, -1, 10, 0, -1, 5, 113, 0, -1, -1, -1, 0},
-    {0, 1, 4, -1, -1, 108, 12, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 4, -1, -1, 108, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 4, -1, -1, 108, 13, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 4, -1, -1, 108, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 4, -1, -1, 9, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 5, -1, -1, 116, 4, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 5, -1, -1, 116, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 5, 16, 117, -1, 0, -1, -1, -1, 0, -1, -1, 39, 2},
-    {4, 0, 5, -1, -1, 11, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 5, -1, -1, 119, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 5, -1, -1, 117, 4, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 5, -1, -1, 117, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 6, -1, -1, 125, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, 0, 6, -1, -1, 125, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {6, -1, 6, 19, 123, -1, 0, -1, -1, -1, 0, -1, -1, 41, 2},
-    {7, 0, 6, -1, -1, 13, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 6, -1, -1, 127, 15, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 6, -1, -1, 127, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 6, 17, 128, -1, 0, -1, -1, -1, 0, -1, -1, 43, 2},
-    {4, 1, 6, -1, -1, 123, 17, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 6, -1, -1, 14, 0, -1, 7, 130, 0, -1, -1, -1, 0},
-    {0, 0, 6, -1, -1, 131, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 6, 18, 131, -1, 0, -1, -1, -1, 0, -1, -1, 45, 2},
-    {7, 0, 6, -1, -1, 128, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 6, -1, -1, 134, 16, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 6, -1, -1, 14, 0, -1, 7, 135, 0, -1, -1, -1, 0},
-    {0, 0, 6, -1, -1, 131, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 6, -1, -1, 123, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 7, -1, -1, 138, 4, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 7, -1, -1, 139, 11, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 7, -1, -1, 16, 0, -1, 8, 140, 0, -1, -1, -1, 0},
-    {0, 0, 7, -1, -1, 15, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 8, -1, -1, 17, 4, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 8, -1, -1, 17, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 8, -1, -1, 17, 18, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 8, -1, -1, 17, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 8, -1, -1, 17, 19, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 8, -1, -1, 17, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 9, -1, -1, 10, 0, -1, 5, 148, 0, -1, -1, -1, 0},
-    {0, 3, 9, -1, -1, 8, 0, -1, 4, 149, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 19, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, -1, -1, -1, 150, -1, -1, -1, -1, 0, -1, -1, -1, 0},
-};
-const int32_t kRuleStarts[] = {
-    0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
-};
-const int32_t kRuleStops[] = {
-    1, 3, 5, 7, 9, 11, 13, 15, 17, 19,
-};
-const int32_t kAltTargets[] = {
-    42, 50, 63, 75, 83, 141, 143, 145, 23, 22, 27, 29, 33, 32, 38, 37,
-    47, 46, 52, 54, 56, 61, 60, 67, 66, 72, 71, 81, 80, 87, 86, 93,
-    92, 100, 102, 104, 103, 109, 111, 118, 117, 125, 13, 129, 128, 133, 128,
-};
-const int32_t kDecisionStates[] = {
-    21, 25, 31, 36, 2, 45, 50, 59, 65, 70, 79, 85, 91, 98, 102, 107,
-    116, 127, 131, 123, 16,
-};
-const CDecision kDecisions[] = {
-    {3, 0, 0}, {3, 69, 3}, {3, 138, 6}, {3, 207, 9},
-    {9, 276, 12}, {3, 483, 21}, {4, 552, 24}, {3, 644, 28},
-    {3, 713, 31}, {3, 782, 34}, {3, 851, 37}, {3, 920, 40},
-    {3, 989, 43}, {3, 1058, 46}, {3, 1127, 49}, {3, 1196, 52},
-    {3, 1265, 55}, {3, 1334, 58}, {3, 1403, 61}, {3, 1472, 64},
-    {4, 1541, 67},
-};
-const int32_t kDfaTrans[] = {
-    -1, -1, 1, 2, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, 1, 2, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1,
-    2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, 1, -1, 1, -1, 2, -1, 1, 1, 1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, 1, -1, 2, -1, -1, -1, 1, 1, 3,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, 4, -1, -1, 4, -1, 4, -1, 4, 4, 4, 4, 4, 5, 6,
-    6, 7, 4, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 8, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 4, -1, -1, 4,
-    -1, 4, -1, 4, 4, 4, 4, 4, -1, 6, 6, -1, 4, -1, -1, -1,
-    -1, -1, -1, 1, -1, -1, 1, -1, 1, -1, 1, 2, 1, 1, 1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1,
-    -1, 2, 3, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, 1, -1, -1, 1, -1, 1, -1, 1, 2, 1, 1, 1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, 2,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, 1, -1, 1, -1, 2, -1, 1, 1, 1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, 1, -1, -1, 1, -1, 1, -1, 1, 2, 1, 1, 1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, 1, -1, 1, -1, 1,
-    2, 1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1,
-    1, -1, 1, -1, 1, 1, 1, 1, 1, -1, -1, -1, -1, 2, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, 1, -1, -1, 1, -1, 1, -1, 1, 1, 1, 1, 1, -1, 2,
-    2, -1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, 1, -1, 1, -1, 1, 1,
-    1, 1, 1, -1, -1, -1, -1, 2, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, 2, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, 1, -1, -1, 1, -1, 1, -1, 1, 1, 1, 1, 1, -1, 1, 1,
-    2, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, 2, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, 2, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    1, -1, -1, 1, -1, 1, -1, 1, 1, 1, 1, 1, -1, -1, -1, -1,
-    2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, 2, 3, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1,
-};
-const int32_t kDfaAccept[] = {
-    -1, 1, 2, -1, 1, 2, -1, 1, 2, -1, 1, 2, -1, 2, -1, 3,
-    5, 4, 1, -1, -1, -1, 2, 1, -1, 1, 2, 3, -1, 2, 1, -1,
-    1, 2, -1, 1, 2, -1, 2, 1, -1, 2, 1, -1, 2, 1, -1, 2,
-    1, -1, 2, 1, -1, 1, 2, -1, 2, 1, -1, 1, 2, -1, 1, 2,
-    -1, 2, 1, -1, 1, 2, 3,
-};
-const int32_t kDfaPredFirst[] = {
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0,
-};
-const int32_t kDfaPredCount[] = {
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0,
-};
-const CPredEdge kPredEdges[] = {
-    0,
-};
-const uint64_t kSetWords[] = {
-    0,
-};
-
 int32_t Predict0(const Token *Toks, int64_t NumToks, int64_t Pos,
                  int64_t &DepthOut) {
   (void)Toks;
@@ -3215,17 +2906,6 @@ extern const CompiledGrammarModule kModule_Dot;
 const CompiledGrammarModule kModule_Dot = {
     /*GrammarName=*/"Dot",
     /*PayloadHash=*/0x333df31cbab24637ull,
-    /*Tables=*/
-    {
-        /*NumTokens=*/21,
-        /*NumStates=*/151,
-        /*NumRules=*/10,
-        /*NumDecisions=*/21,
-        /*SetWordsPerSet=*/1,
-        kStates, kRuleStarts, kRuleStops, kAltTargets,
-        kDecisionStates, kDecisions, kDfaTrans, kDfaAccept,
-        kDfaPredFirst, kDfaPredCount, kPredEdges, kSetWords,
-    },
     /*Native=*/kNative,
     /*Rules=*/kNativeRules,
     /*LexNext=*/kLexNext,

@@ -14,88 +14,6 @@ namespace llstar {
 namespace compiled {
 namespace {
 
-const CState kStates[] = {
-    {1, 0, 0, -1, -1, 9, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 1, -1, -1, 14, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 1, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 2, -1, -1, 22, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 2, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, -1, 3, 2, 7, -1, 0, -1, -1, -1, 0, -1, -1, 0, 3},
-    {2, -1, 3, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 9, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 0, 0, 9, -1, 0, -1, -1, -1, 0, -1, -1, 3, 2},
-    {7, 1, 0, -1, -1, 1, -1, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 0, -1, -1, 2, 0, -1, 1, 12, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 9, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 15, 1, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 16, 2, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 1, -1, -1, 18, 3, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 18, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 1, 1, 18, -1, 0, -1, -1, -1, 0, -1, -1, 5, 2},
-    {7, 0, 1, -1, -1, 3, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 1, -1, -1, 4, 0, -1, 2, 21, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 18, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 2, -1, -1, 23, 2, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 2, -1, -1, 24, 4, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 2, -1, -1, 6, 0, -1, 3, 25, 0, -1, -1, -1, 0},
-    {0, 0, 2, -1, -1, 5, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 7, 5, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 7, 6, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 32, 2, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 32, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 3, 3, 32, -1, 0, -1, -1, -1, 0, -1, -1, 7, 2},
-    {7, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 35, 7, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 32, 2, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 32, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, -1, -1, -1, 37, -1, -1, -1, -1, 0, -1, -1, -1, 0},
-};
-const int32_t kRuleStarts[] = {
-    0, 2, 4, 6,
-};
-const int32_t kRuleStops[] = {
-    1, 3, 5, 7,
-};
-const int32_t kAltTargets[] = {
-    26, 28, 30, 11, 10, 20, 3, 34, 7,
-};
-const int32_t kDecisionStates[] = {
-    9, 18, 6, 32,
-};
-const CDecision kDecisions[] = {
-    {3, 0, 0}, {3, 33, 3}, {4, 66, 6}, {3, 110, 10},
-};
-const int32_t kDfaTrans[] = {
-    1, -1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, 1, -1, 1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, 1, -1, -1, 2, 3, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1,
-    1, 1, -1, -1, -1, -1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-};
-const int32_t kDfaAccept[] = {
-    -1, 2, 1, -1, 2, 1, -1, 3, 1, 2, -1, 2, 1,
-};
-const int32_t kDfaPredFirst[] = {
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-};
-const int32_t kDfaPredCount[] = {
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-};
-const CPredEdge kPredEdges[] = {
-    0,
-};
-const uint64_t kSetWords[] = {
-    0,
-};
-
 int32_t Predict0(const Token *Toks, int64_t NumToks, int64_t Pos,
                  int64_t &DepthOut) {
   (void)Toks;
@@ -773,17 +691,6 @@ extern const CompiledGrammarModule kModule_Ini;
 const CompiledGrammarModule kModule_Ini = {
     /*GrammarName=*/"Ini",
     /*PayloadHash=*/0xb3a6d1502f100821ull,
-    /*Tables=*/
-    {
-        /*NumTokens=*/9,
-        /*NumStates=*/38,
-        /*NumRules=*/4,
-        /*NumDecisions=*/4,
-        /*SetWordsPerSet=*/1,
-        kStates, kRuleStarts, kRuleStops, kAltTargets,
-        kDecisionStates, kDecisions, kDfaTrans, kDfaAccept,
-        kDfaPredFirst, kDfaPredCount, kPredEdges, kSetWords,
-    },
     /*Native=*/kNative,
     /*Rules=*/kNativeRules,
     /*LexNext=*/kLexNext,

@@ -7,980 +7,12 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "compiled/CompiledParser.h"
 #include "compiled/CompiledRegistry.h"
+#include "runtime/LLStarParser.h"
 
 namespace llstar {
 namespace compiled {
 namespace {
-
-const CState kStates[] = {
-    {1, 0, 0, -1, -1, 42, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 1, -1, -1, 46, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 1, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 2, -1, -1, 54, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 2, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, -1, 3, 4, 7, -1, 0, -1, -1, -1, 0, -1, -1, 0, 12},
-    {2, -1, 3, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 4, -1, -1, 151, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 4, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 5, -1, -1, 163, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 5, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 6, -1, -1, 170, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 6, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 7, -1, -1, 172, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 7, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 8, -1, -1, 179, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 8, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 9, -1, -1, 187, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 9, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 10, -1, -1, 273, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 10, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, -1, 11, 22, 23, -1, 0, -1, -1, -1, 0, -1, -1, 12, 2},
-    {2, -1, 11, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, -1, 12, 23, 25, -1, 0, -1, -1, -1, 0, -1, -1, 14, 4},
-    {2, -1, 12, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, -1, 13, 24, 27, -1, 0, -1, -1, -1, 0, -1, -1, 18, 3},
-    {2, -1, 13, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 14, -1, -1, 309, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 14, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, -1, 15, 27, 31, -1, 0, -1, -1, -1, 0, -1, -1, 21, 2},
-    {2, -1, 15, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 16, -1, -1, 327, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 16, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, -1, 17, 33, 35, -1, 0, -1, -1, -1, 0, -1, -1, 23, 3},
-    {2, -1, 17, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 18, -1, -1, 363, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 18, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 19, -1, -1, 366, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 19, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {1, 0, 20, -1, -1, 370, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {2, -1, 20, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 0, -1, -1, 2, 0, -1, 1, 43, 0, -1, -1, -1, 0},
-    {0, 1, 0, -1, -1, 1, -1, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 0, -1, -1, 1, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 46, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 1, 0, 46, -1, 0, -1, -1, -1, 0, -1, -1, 26, 2},
-    {7, 0, 1, -1, -1, 50, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 1, -1, -1, 6, 0, -1, 3, 49, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 46, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 1, 1, 51, -1, 0, -1, -1, -1, 0, -1, -1, 28, 2},
-    {4, 0, 1, -1, -1, 3, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 1, -1, -1, 4, 0, -1, 2, 53, 0, -1, -1, -1, 0},
-    {0, 0, 1, -1, -1, 51, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 2, -1, -1, 56, 1, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 2, -1, -1, 56, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 2, 2, 57, -1, 0, -1, -1, -1, 0, -1, -1, 30, 2},
-    {4, 0, 2, -1, -1, 60, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 2, -1, -1, 16, 0, -1, 8, 59, 0, -1, -1, -1, 0},
-    {0, 0, 2, -1, -1, 57, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 2, 3, 61, -1, 0, -1, -1, -1, 0, -1, -1, 32, 2},
-    {4, 0, 2, -1, -1, 5, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 2, -1, -1, 61, 2, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 2, -1, -1, 61, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 7, 2, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 5, 3, -1, -1, 67, 0, -1, 18, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 10, 0, -1, 5, 68, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 69, 3, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 16, 0, -1, 8, 70, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 20, 0, -1, 10, 72, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 74, 4, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 2, 0, -1, 1, 75, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 7, 5, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 78, 6, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 18, 0, -1, 9, 79, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 80, 4, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 2, 0, -1, 1, 81, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 7, 5, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 84, 7, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 2, 0, -1, 1, 85, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 86, 8, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 18, 0, -1, 9, 87, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 89, 9, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 18, 0, -1, 9, 90, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 91, 10, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 2, 0, -1, 1, 92, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 93, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 3, 5, 93, -1, 0, -1, -1, -1, 0, -1, -1, 34, 2},
-    {7, 0, 3, -1, -1, 100, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 96, 11, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 18, 0, -1, 9, 97, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 98, 10, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 2, 0, -1, 1, 99, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 93, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 3, 6, 101, -1, 0, -1, -1, -1, 0, -1, -1, 36, 2},
-    {4, 1, 3, -1, -1, 7, 5, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 103, 12, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 2, 0, -1, 1, 104, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 101, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 5, 3, -1, -1, 107, 0, -1, 19, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 108, 13, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 109, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 110, 3, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 18, 0, -1, 9, 111, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 112, 15, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 18, 0, -1, 9, 113, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 114, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 3, 7, 115, -1, 0, -1, -1, -1, 0, -1, -1, 38, 2},
-    {4, 1, 3, -1, -1, 119, 4, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 117, 15, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 18, 0, -1, 9, 118, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 115, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 2, 0, -1, 1, 120, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 7, 5, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 123, 13, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 14, 0, -1, 7, 124, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 125, 16, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 16, 0, -1, 8, 126, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 127, 4, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 2, 0, -1, 1, 128, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 7, 5, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 131, 17, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 8, 0, -1, 4, 132, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 28, 0, -1, 14, 133, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 136, 18, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 136, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 3, 8, 137, -1, 0, -1, -1, -1, 0, -1, -1, 40, 2},
-    {4, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 139, 17, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 140, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 28, 0, -1, 14, 141, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 137, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 14, 0, -1, 7, 143, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 144, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 3, 9, 145, -1, 0, -1, -1, -1, 0, -1, -1, 42, 2},
-    {4, 0, 3, -1, -1, 137, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 147, 3, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 3, -1, -1, 16, 0, -1, 8, 148, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 145, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 3, -1, -1, 7, 19, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 3, -1, -1, 7, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 4, -1, -1, 153, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 4, -1, -1, 153, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 4, 10, 153, -1, 0, -1, -1, -1, 0, -1, -1, 44, 2},
-    {7, 0, 4, -1, -1, 158, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 4, -1, -1, 156, 20, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 4, -1, -1, 153, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 4, -1, -1, 153, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 4, 11, 159, -1, 0, -1, -1, -1, 0, -1, -1, 46, 2},
-    {4, 0, 4, -1, -1, 9, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 4, -1, -1, 161, 21, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 4, -1, -1, 159, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 4, -1, -1, 159, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 5, -1, -1, 12, 0, -1, 6, 164, 0, -1, -1, -1, 0},
-    {0, 0, 5, -1, -1, 165, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 5, 12, 165, -1, 0, -1, -1, -1, 0, -1, -1, 48, 2},
-    {7, 0, 5, -1, -1, 11, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 5, -1, -1, 168, 15, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 5, -1, -1, 12, 0, -1, 6, 169, 0, -1, -1, -1, 0},
-    {0, 0, 5, -1, -1, 165, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 6, -1, -1, 20, 0, -1, 10, 171, 0, -1, -1, -1, 0},
-    {0, 0, 6, -1, -1, 13, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 7, -1, -1, 174, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 7, -1, -1, 174, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 7, 13, 174, -1, 0, -1, -1, -1, 0, -1, -1, 50, 2},
-    {7, 0, 7, -1, -1, 15, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 7, -1, -1, 177, 15, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 7, -1, -1, 174, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 7, -1, -1, 174, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 8, -1, -1, 18, 0, -1, 9, 180, 0, -1, -1, -1, 0},
-    {0, 0, 8, -1, -1, 181, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 8, 14, 181, -1, 0, -1, -1, -1, 0, -1, -1, 52, 2},
-    {7, 0, 8, -1, -1, 17, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 8, -1, -1, 184, 15, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 8, -1, -1, 18, 0, -1, 9, 185, 0, -1, -1, -1, 0},
-    {0, 0, 8, -1, -1, 181, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 187, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 9, 15, 188, -1, 0, -1, -1, -1, 0, -1, -1, 54, 10},
-    {4, 0, 9, -1, -1, 218, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 190, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 9, 16, 191, -1, 0, -1, -1, -1, 0, -1, -1, 64, 3},
-    {4, 3, 9, -1, -1, 18, 0, -1, 9, 198, 16, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 191, 23, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 191, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 191, 24, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 191, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 191, 25, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 191, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 188, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 188, 39, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 188, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 188, 40, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 188, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 188, 41, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 188, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 188, 42, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 188, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 188, 43, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 188, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 188, 44, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 188, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 212, 17, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 9, -1, -1, 28, 0, -1, 14, 213, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 188, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 9, -1, -1, 20, 0, -1, 10, 215, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 188, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 9, -1, -1, 32, 0, -1, 16, 217, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 188, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 9, 17, 218, -1, 0, -1, -1, -1, 0, -1, -1, 67, 8},
-    {7, 0, 9, -1, -1, 19, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 4, 9, -1, -1, 221, 0, -1, -1, -1, 0, 0, -1, -1, 0},
-    {0, 1, 9, -1, -1, 222, 22, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 9, -1, -1, 18, 0, -1, 9, 223, 16, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 218, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 4, 9, -1, -1, 226, 0, -1, -1, -1, 0, 1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 226, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 9, 18, 227, -1, 0, -1, -1, -1, 0, -1, -1, 75, 3},
-    {4, 3, 9, -1, -1, 18, 0, -1, 9, 234, 15, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 227, 26, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 227, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 227, 27, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 227, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 227, 28, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 227, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 218, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 4, 9, -1, -1, 237, 0, -1, -1, -1, 0, 2, -1, -1, 0},
-    {0, 0, 9, -1, -1, 237, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 9, 19, 238, -1, 0, -1, -1, -1, 0, -1, -1, 78, 2},
-    {4, 3, 9, -1, -1, 18, 0, -1, 9, 243, 14, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 238, 29, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 238, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 238, 25, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 238, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 218, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 4, 9, -1, -1, 245, 0, -1, -1, -1, 0, 3, -1, -1, 0},
-    {0, 1, 9, -1, -1, 246, 30, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 9, -1, -1, 18, 0, -1, 9, 247, 12, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 218, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 4, 9, -1, -1, 250, 0, -1, -1, -1, 0, 4, -1, -1, 0},
-    {0, 0, 9, -1, -1, 250, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 9, 20, 251, -1, 0, -1, -1, -1, 0, -1, -1, 80, 6},
-    {4, 3, 9, -1, -1, 18, 0, -1, 9, 264, 12, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 251, 31, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 251, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 251, 32, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 251, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 251, 33, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 251, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 251, 34, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 251, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 251, 35, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 251, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 9, -1, -1, 251, 36, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 251, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 218, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 4, 9, -1, -1, 266, 0, -1, -1, -1, 0, 5, -1, -1, 0},
-    {0, 1, 9, -1, -1, 267, 37, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 9, -1, -1, 18, 0, -1, 9, 268, 11, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 218, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 4, 9, -1, -1, 270, 0, -1, -1, -1, 0, 6, -1, -1, 0},
-    {0, 1, 9, -1, -1, 271, 38, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 9, -1, -1, 18, 0, -1, 9, 272, 10, -1, -1, -1, 0},
-    {0, 0, 9, -1, -1, 218, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 10, -1, -1, 22, 0, -1, 11, 274, 0, -1, -1, -1, 0},
-    {0, 0, 10, -1, -1, 275, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 10, 21, 275, -1, 0, -1, -1, -1, 0, -1, -1, 86, 2},
-    {7, 0, 10, -1, -1, 21, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 10, -1, -1, 24, 0, -1, 12, 278, 0, -1, -1, -1, 0},
-    {0, 0, 10, -1, -1, 275, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 11, -1, -1, 23, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 11, -1, -1, 23, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 11, -1, -1, 282, 45, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 11, -1, -1, 18, 0, -1, 9, 283, 0, -1, -1, -1, 0},
-    {0, 1, 11, -1, -1, 23, 46, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 11, -1, -1, 23, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 12, -1, -1, 286, 20, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 12, -1, -1, 25, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 12, -1, -1, 25, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 12, -1, -1, 289, 47, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 12, -1, -1, 18, 0, -1, 9, 290, 0, -1, -1, -1, 0},
-    {0, 1, 12, -1, -1, 25, 48, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 12, -1, -1, 25, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 12, -1, -1, 293, 21, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 12, -1, -1, 294, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 12, -1, -1, 26, 0, -1, 13, 295, 0, -1, -1, -1, 0},
-    {0, 0, 12, -1, -1, 25, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 12, -1, -1, 26, 0, -1, 13, 297, 0, -1, -1, -1, 0},
-    {0, 0, 12, -1, -1, 25, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 13, -1, -1, 300, 45, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 13, -1, -1, 300, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 13, 25, 301, -1, 0, -1, -1, -1, 0, -1, -1, 88, 2},
-    {4, 1, 13, -1, -1, 27, 46, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 13, -1, -1, 16, 0, -1, 8, 303, 0, -1, -1, -1, 0},
-    {0, 0, 13, -1, -1, 301, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 13, -1, -1, 27, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 13, -1, -1, 27, 43, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 13, -1, -1, 27, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 13, -1, -1, 32, 0, -1, 16, 308, 0, -1, -1, -1, 0},
-    {0, 0, 13, -1, -1, 27, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 14, -1, -1, 311, 45, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 14, -1, -1, 311, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 14, 26, 312, -1, 0, -1, -1, -1, 0, -1, -1, 90, 2},
-    {4, 1, 14, -1, -1, 315, 46, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 14, -1, -1, 30, 0, -1, 15, 314, 0, -1, -1, -1, 0},
-    {0, 0, 14, -1, -1, 312, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 14, -1, -1, 2, 0, -1, 1, 316, 0, -1, -1, -1, 0},
-    {0, 1, 14, -1, -1, 29, 5, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 14, -1, -1, 29, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 15, -1, -1, 14, 0, -1, 7, 319, 0, -1, -1, -1, 0},
-    {0, 0, 15, -1, -1, 320, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 15, 28, 321, -1, 0, -1, -1, -1, 0, -1, -1, 92, 2},
-    {4, 0, 15, -1, -1, 31, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 15, -1, -1, 323, 15, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 15, -1, -1, 321, 44, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 15, -1, -1, 321, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 15, -1, -1, 31, 44, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 15, -1, -1, 31, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 16, -1, -1, 329, 49, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 16, -1, -1, 329, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 16, 29, 330, -1, 0, -1, -1, -1, 0, -1, -1, 94, 2},
-    {4, 1, 16, -1, -1, 33, 50, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 16, -1, -1, 34, 0, -1, 17, 332, 0, -1, -1, -1, 0},
-    {0, 0, 16, -1, -1, 333, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {5, -1, 16, 30, 333, -1, 0, -1, -1, -1, 0, -1, -1, 96, 2},
-    {7, 0, 16, -1, -1, 343, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 16, -1, -1, 336, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 16, 31, 337, -1, 0, -1, -1, -1, 0, -1, -1, 98, 2},
-    {4, 3, 16, -1, -1, 34, 0, -1, 17, 342, 0, -1, -1, -1, 0},
-    {0, 1, 16, -1, -1, 337, 15, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 16, -1, -1, 337, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 16, -1, -1, 337, 2, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 16, -1, -1, 337, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 16, -1, -1, 333, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {3, -1, 16, 32, 344, -1, 0, -1, -1, -1, 0, -1, -1, 100, 3},
-    {4, 0, 16, -1, -1, 330, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 16, -1, -1, 344, 15, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 16, -1, -1, 344, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 16, -1, -1, 344, 2, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 16, -1, -1, 344, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 16, -1, -1, 33, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 17, -1, -1, 351, 47, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 17, -1, -1, 18, 0, -1, 9, 352, 0, -1, -1, -1, 0},
-    {0, 1, 17, -1, -1, 353, 48, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 17, -1, -1, 354, 3, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 17, -1, -1, 18, 0, -1, 9, 355, 0, -1, -1, -1, 0},
-    {0, 0, 17, -1, -1, 35, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 5, 17, -1, -1, 357, 0, -1, 20, -1, 0, -1, -1, -1, 0},
-    {0, 1, 17, -1, -1, 358, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 17, -1, -1, 359, 3, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 17, -1, -1, 18, 0, -1, 9, 360, 0, -1, -1, -1, 0},
-    {0, 0, 17, -1, -1, 35, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 17, -1, -1, 18, 0, -1, 9, 362, 0, -1, -1, -1, 0},
-    {0, 0, 17, -1, -1, 35, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 3, 18, -1, -1, 10, 0, -1, 5, 364, 0, -1, -1, -1, 0},
-    {0, 1, 18, -1, -1, 37, 3, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 18, -1, -1, 37, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 19, -1, -1, 367, 13, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 19, -1, -1, 368, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 19, -1, -1, 39, 3, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 19, -1, -1, 39, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 20, -1, -1, 371, 14, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, 20, -1, -1, 41, 3, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 0, 20, -1, -1, 41, 0, -1, -1, -1, 0, -1, -1, -1, 0},
-    {0, 1, -1, -1, -1, 373, -1, -1, -1, -1, 0, -1, -1, -1, 0},
-};
-const int32_t kRuleStarts[] = {
-    0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30,
-    32, 34, 36, 38, 40,
-};
-const int32_t kRuleStops[] = {
-    1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31,
-    33, 35, 37, 39, 41,
-};
-const int32_t kAltTargets[] = {
-    64, 66, 71, 73, 77, 83, 88, 106, 122, 130, 134, 149, 279, 281, 285, 288,
-    292, 296, 298, 305, 307, 318, 325, 350, 356, 361, 48, 50, 52, 51, 58, 57,
-    62, 61, 95, 100, 102, 101, 116, 115, 138, 142, 146, 145, 155, 158, 160, 159,
-    167, 11, 176, 15, 183, 17, 190, 199, 201, 203, 205, 207, 209, 211, 214, 216,
-    192, 194, 196, 220, 224, 235, 244, 248, 265, 269, 19, 228, 230, 232, 239, 241,
-    252, 254, 256, 258, 260, 262, 277, 21, 302, 301, 313, 312, 322, 321, 331, 330,
-    336, 343, 338, 340, 345, 347, 344,
-};
-const int32_t kDecisionStates[] = {
-    46, 50, 56, 60, 6, 93, 100, 114, 136, 144, 153, 158, 165, 174, 181, 187,
-    190, 218, 226, 237, 250, 275, 22, 24, 26, 300, 311, 30, 320, 329, 333, 336,
-    343, 34,
-};
-const CDecision kDecisions[] = {
-    {3, 0, 0}, {3, 162, 3}, {3, 324, 6}, {3, 486, 9},
-    {15, 648, 12}, {3, 1458, 27}, {3, 1620, 30}, {3, 1782, 33},
-    {3, 1944, 36}, {3, 2106, 39}, {3, 2268, 42}, {3, 2430, 45},
-    {3, 2592, 48}, {4, 2754, 51}, {3, 2970, 55}, {11, 3132, 58},
-    {4, 3726, 69}, {16, 3942, 73}, {4, 4806, 89}, {3, 5022, 93},
-    {7, 5184, 96}, {4, 5562, 103}, {3, 5778, 107}, {5, 5940, 110},
-    {4, 6210, 115}, {3, 6426, 119}, {3, 6588, 122}, {3, 6750, 125},
-    {3, 6912, 128}, {3, 7074, 131}, {5, 7236, 134}, {3, 7506, 139},
-    {4, 7668, 142}, {5, 7884, 146},
-};
-const int32_t kDfaTrans[] = {
-    1, -1, 1, 2, -1, 2, 1, 2, 2, 1, 2, -1, 1, 1, 2, 2,
-    -1, -1, 2, 2, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 2, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, 1, -1, 2, -1, -1, -1, 1, -1, -1, 1, -1, -1, 1, 1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1,
-    1, 1, -1, 2, -1, -1, 2, -1, -1, -1, -1, -1, 2, 2, 2, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 2, 2, 2, 2,
-    2, 2, 2, -1, -1, -1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, 1, -1, -1, 2, -1, -1, 1, -1, -1, 1,
-    -1, -1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, 2, -1, 3,
-    4, -1, 5, -1, -1, -1, 6, 9, -1, -1, 12, 13, 14, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, 9, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1, -1, 2, 1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1, -1,
-    -1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, 2, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, 1, 1, 2, 1,
-    1, 1, 1, 1, 1, -1, 1, 1, 1, 1, -1, -1, 1, 1, 1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, 2, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    1, -1, -1, -1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, 1, -1, 1, 1, 1, 1, 1, 1, 1, 1, 1, -1, 1, 1,
-    1, 1, 2, 1, 1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 3, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, 1, 1, -1, 1,
-    1, 1, 1, 1, 1, -1, 1, 1, 1, 1, 2, -1, 1, 1, 1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, 1, 1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, 2, -1,
-    -1, -1, -1, -1, 3, 3, 3, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, 4, 5, 6, 7, 8, 9, 1, -1, -1, -1, 10, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, 1, 2, 3, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, 1, -1, 1, 1, -1, 1, 1, 1, 1, 1,
-    1, 1, 1, 1, 1, 1, 1, -1, 1, 1, 1, -1, -1, 2, -1, -1,
-    4, 6, 6, 6, 4, 8, 10, 10, 10, 10, 10, 10, 12, 14, -1, -1,
-    -1, -1, -1, -1, 1, 1, -1, 1, -1, 1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, 1, 2, 3, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, 2, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    1, 2, 3, 4, 5, 6, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, 1, 1, 1, 1,
-    1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, -1, 1, 1, 1, 2,
-    2, 1, -1, -1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-    1, 1, -1, -1, -1, -1, 2, -1, 3, 1, 2, 1, 2, 1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, 2, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    3, -1, 3, -1, 4, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1,
-    2, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, 1, -1, -1, -1,
-    -1, -1, 1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, 1, 1, 1, 1, 1, 1, 1, 2, -1, -1, 1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, 2, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 2, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, 1, -1, -1, 1, -1, -1, -1, -1, -1, 1, 1, 1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, 1, 1, 1, 1, 1,
-    1, -1, 1, -1, 1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, 4, -1, -1, 4, -1, -1, -1,
-    -1, -1, 4, 4, 4, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, 4, 4, 4, 4, 4, 4, 4, -1, 4, -1, 4, 3, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 4,
-    -1, -1, 4, -1, -1, -1, -1, -1, 4, 4, 4, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, 4, 4, 4, 4, 4, 4, 4, -1,
-    4, -1, 4, 3, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, 2, -1,
-    -1, -1, -1, -1, 2, 2, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, 2, 2, 2, 2, 2, 2, 2, -1, 3, -1, 2, -1,
-    -1, -1, 2, -1, -1, 2, 4, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, 2, -1, -1, -1, -1, 2, 2, 2, -1, -1, 2, 2, 2, 2,
-    2, 2, 2, 2, 2, 2, 2, 2, 2, 2, -1, -1, -1, -1, 2, -1,
-    2, -1, 2, -1, 2, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-};
-const int32_t kDfaAccept[] = {
-    -1, 2, 1, -1, 2, 1, -1, 2, 1, -1, 2, 1, -1, 1, 4, 5,
-    6, 7, -1, 8, 9, -1, 2, 3, 10, 11, 12, -1, 2, 1, -1, 2,
-    1, -1, 2, 1, -1, 2, 1, -1, 2, 1, -1, 2, 1, -1, 2, 1,
-    -1, 2, 1, -1, 2, -1, 1, -1, 2, 1, -1, 9, 8, 1, 2, 3,
-    4, 5, 6, 7, 10, -1, 1, 2, 3, -1, 8, -1, 1, -1, 3, -1,
-    2, -1, 4, -1, 5, -1, 6, -1, 7, -1, 1, 2, 3, -1, 2, 1,
-    -1, 1, 2, 3, 4, 5, 6, -1, 2, 1, -1, -1, 1, 2, -1, 1,
-    3, 4, 2, -1, 2, 1, 3, -1, 1, 2, -1, 1, 2, -1, 1, 2,
-    -1, 2, 1, -1, 1, 2, -1, -1, -1, 2, 1, -1, 2, 1, -1, 2,
-    1, 3, -1, -1, 3, 1, 2,
-};
-const int32_t kDfaPredFirst[] = {
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 2, 2, 2, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4,
-    4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4,
-    4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4,
-    4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 6, 6, 8, 8,
-    10, 10, 12, 12, 14, 14, 16, 16, 18, 18, 18, 18, 18, 18, 18, 18,
-    18, 18, 18, 18, 18, 18, 18, 18, 18, 18, 18, 20, 20, 20, 20, 20,
-    20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20,
-    20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20,
-    20, 20, 20, 20, 20, 20, 20,
-};
-const int32_t kDfaPredCount[] = {
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 2,
-    0, 2, 0, 2, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0,
-};
-const CPredEdge kPredEdges[] = {
-    {2, 19, -1, 8}, {0, -1, -1, 9}, {2, 18, -1, 2}, {0, -1, -1, 3},
-    {1, 0, -1, 1}, {0, -1, -1, 8}, {1, 2, -1, 3}, {0, -1, -1, 8},
-    {1, 1, -1, 2}, {0, -1, -1, 8}, {1, 3, -1, 4}, {0, -1, -1, 8},
-    {1, 4, -1, 5}, {0, -1, -1, 8}, {1, 5, -1, 6}, {0, -1, -1, 8},
-    {1, 6, -1, 7}, {0, -1, -1, 8}, {3, 21, 1, 1}, {0, -1, -1, 2},
-};
-const uint64_t kSetWords[] = {
-    0,
-};
 
 int32_t Predict0(const Token *Toks, int64_t NumToks, int64_t Pos,
                  int64_t &DepthOut) {
@@ -2031,7 +1063,7 @@ const NativePredictFn kNative[] = {
     &Predict32, &Predict33,
 };
 
-bool Rule0(CompiledParser &P, NodeRef Parent) { // chunk
+bool Rule0(LLStarParser &P, NodeRef Parent) { // chunk
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())
@@ -2048,10 +1080,10 @@ s43:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != -1) {
-      CompiledParser::ColdMatch M = P.coldMismatch(43, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(43, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -2059,7 +1091,7 @@ s43:
   }
 }
 
-bool Rule1(CompiledParser &P, NodeRef Parent) { // block
+bool Rule1(LLStarParser &P, NodeRef Parent) { // block
   (void)P;
   (void)Parent;
   int64_t lm46 = -1;
@@ -2150,7 +1182,7 @@ s53:
   goto s51;
 }
 
-bool Rule2(CompiledParser &P, NodeRef Parent) { // retstat
+bool Rule2(LLStarParser &P, NodeRef Parent) { // retstat
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())
@@ -2161,10 +1193,10 @@ s54:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 1) {
-      CompiledParser::ColdMatch M = P.coldMismatch(54, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(54, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s56;
     }
     P.consumeMatched(Parent);
@@ -2239,10 +1271,10 @@ s62:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 2) {
-      CompiledParser::ColdMatch M = P.coldMismatch(62, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(62, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s61;
     }
     P.consumeMatched(Parent);
@@ -2254,7 +1286,7 @@ s61:
   return true;
 }
 
-bool Rule3(CompiledParser &P, NodeRef Parent) { // stat
+bool Rule3(LLStarParser &P, NodeRef Parent) { // stat
   (void)P;
   (void)Parent;
   int64_t lm93 = -1;
@@ -2298,10 +1330,10 @@ s64:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 2) {
-      CompiledParser::ColdMatch M = P.coldMismatch(64, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(64, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -2322,10 +1354,10 @@ s73:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 4) {
-      CompiledParser::ColdMatch M = P.coldMismatch(73, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(73, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s74;
     }
     P.consumeMatched(Parent);
@@ -2336,10 +1368,10 @@ s77:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 6) {
-      CompiledParser::ColdMatch M = P.coldMismatch(77, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(77, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s78;
     }
     P.consumeMatched(Parent);
@@ -2350,10 +1382,10 @@ s83:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 7) {
-      CompiledParser::ColdMatch M = P.coldMismatch(83, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(83, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s84;
     }
     P.consumeMatched(Parent);
@@ -2364,10 +1396,10 @@ s88:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 9) {
-      CompiledParser::ColdMatch M = P.coldMismatch(88, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(88, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s89;
     }
     P.consumeMatched(Parent);
@@ -2382,10 +1414,10 @@ s122:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 13) {
-      CompiledParser::ColdMatch M = P.coldMismatch(122, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(122, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s123;
     }
     P.consumeMatched(Parent);
@@ -2396,10 +1428,10 @@ s130:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 17) {
-      CompiledParser::ColdMatch M = P.coldMismatch(130, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(130, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s131;
     }
     P.consumeMatched(Parent);
@@ -2410,10 +1442,10 @@ s134:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 18) {
-      CompiledParser::ColdMatch M = P.coldMismatch(134, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(134, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s136;
     }
     P.consumeMatched(Parent);
@@ -2424,10 +1456,10 @@ s149:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 19) {
-      CompiledParser::ColdMatch M = P.coldMismatch(149, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(149, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -2472,10 +1504,10 @@ s107:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 13) {
-      CompiledParser::ColdMatch M = P.coldMismatch(107, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(107, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s108;
     }
     P.consumeMatched(Parent);
@@ -2523,10 +1555,10 @@ s68:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 3) {
-      CompiledParser::ColdMatch M = P.coldMismatch(68, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(68, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s69;
     }
     P.consumeMatched(Parent);
@@ -2537,10 +1569,10 @@ s75:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 5) {
-      CompiledParser::ColdMatch M = P.coldMismatch(75, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(75, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -2551,10 +1583,10 @@ s79:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 4) {
-      CompiledParser::ColdMatch M = P.coldMismatch(79, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(79, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s80;
     }
     P.consumeMatched(Parent);
@@ -2565,10 +1597,10 @@ s85:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 8) {
-      CompiledParser::ColdMatch M = P.coldMismatch(85, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(85, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s86;
     }
     P.consumeMatched(Parent);
@@ -2579,10 +1611,10 @@ s90:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 10) {
-      CompiledParser::ColdMatch M = P.coldMismatch(90, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(90, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s91;
     }
     P.consumeMatched(Parent);
@@ -2593,10 +1625,10 @@ s108:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(108, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(108, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s109;
     }
     P.consumeMatched(Parent);
@@ -2607,10 +1639,10 @@ s124:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 16) {
-      CompiledParser::ColdMatch M = P.coldMismatch(124, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(124, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s125;
     }
     P.consumeMatched(Parent);
@@ -2627,10 +1659,10 @@ s138:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 17) {
-      CompiledParser::ColdMatch M = P.coldMismatch(138, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(138, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s139;
     }
     P.consumeMatched(Parent);
@@ -2671,10 +1703,10 @@ s109:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 3) {
-      CompiledParser::ColdMatch M = P.coldMismatch(109, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(109, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s110;
     }
     P.consumeMatched(Parent);
@@ -2695,10 +1727,10 @@ s139:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(139, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(139, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s140;
     }
     P.consumeMatched(Parent);
@@ -2717,10 +1749,10 @@ s81:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 5) {
-      CompiledParser::ColdMatch M = P.coldMismatch(81, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(81, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -2745,10 +1777,10 @@ s126:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 4) {
-      CompiledParser::ColdMatch M = P.coldMismatch(126, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(126, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s127;
     }
     P.consumeMatched(Parent);
@@ -2823,10 +1855,10 @@ s111:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 15) {
-      CompiledParser::ColdMatch M = P.coldMismatch(111, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(111, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s112;
     }
     P.consumeMatched(Parent);
@@ -2847,10 +1879,10 @@ s146:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 3) {
-      CompiledParser::ColdMatch M = P.coldMismatch(146, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(146, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s147;
     }
     P.consumeMatched(Parent);
@@ -2865,10 +1897,10 @@ s95:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 11) {
-      CompiledParser::ColdMatch M = P.coldMismatch(95, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(95, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s96;
     }
     P.consumeMatched(Parent);
@@ -2910,10 +1942,10 @@ s128:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 5) {
-      CompiledParser::ColdMatch M = P.coldMismatch(128, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(128, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -2940,10 +1972,10 @@ s102:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 12) {
-      CompiledParser::ColdMatch M = P.coldMismatch(102, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(102, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s103;
     }
     P.consumeMatched(Parent);
@@ -2954,10 +1986,10 @@ s101:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 5) {
-      CompiledParser::ColdMatch M = P.coldMismatch(101, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(101, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -2976,10 +2008,10 @@ s97:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 10) {
-      CompiledParser::ColdMatch M = P.coldMismatch(97, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(97, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s98;
     }
     P.consumeMatched(Parent);
@@ -3031,10 +2063,10 @@ s116:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 15) {
-      CompiledParser::ColdMatch M = P.coldMismatch(116, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(116, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s117;
     }
     P.consumeMatched(Parent);
@@ -3045,10 +2077,10 @@ s115:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 4) {
-      CompiledParser::ColdMatch M = P.coldMismatch(115, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(115, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s119;
     }
     P.consumeMatched(Parent);
@@ -3079,10 +2111,10 @@ s120:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 5) {
-      CompiledParser::ColdMatch M = P.coldMismatch(120, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(120, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -3090,7 +2122,7 @@ s120:
   }
 }
 
-bool Rule4(CompiledParser &P, NodeRef Parent) { // funcname
+bool Rule4(LLStarParser &P, NodeRef Parent) { // funcname
   (void)P;
   (void)Parent;
   int64_t lm153 = -1;
@@ -3102,10 +2134,10 @@ s151:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(151, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(151, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s153;
     }
     P.consumeMatched(Parent);
@@ -3149,10 +2181,10 @@ s155:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 20) {
-      CompiledParser::ColdMatch M = P.coldMismatch(155, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(155, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s156;
     }
     P.consumeMatched(Parent);
@@ -3188,10 +2220,10 @@ s156:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(156, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(156, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s153;
     }
     P.consumeMatched(Parent);
@@ -3202,10 +2234,10 @@ s160:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 21) {
-      CompiledParser::ColdMatch M = P.coldMismatch(160, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(160, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s161;
     }
     P.consumeMatched(Parent);
@@ -3220,10 +2252,10 @@ s161:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(161, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(161, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s159;
     }
     P.consumeMatched(Parent);
@@ -3231,7 +2263,7 @@ s161:
   }
 }
 
-bool Rule5(CompiledParser &P, NodeRef Parent) { // varlist
+bool Rule5(LLStarParser &P, NodeRef Parent) { // varlist
   (void)P;
   (void)Parent;
   int64_t lm165 = -1;
@@ -3286,10 +2318,10 @@ s167:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 15) {
-      CompiledParser::ColdMatch M = P.coldMismatch(167, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(167, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s168;
     }
     P.consumeMatched(Parent);
@@ -3307,7 +2339,7 @@ s169:
   goto s165;
 }
 
-bool Rule6(CompiledParser &P, NodeRef Parent) { // var
+bool Rule6(LLStarParser &P, NodeRef Parent) { // var
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())
@@ -3325,7 +2357,7 @@ s171:
   return true;
 }
 
-bool Rule7(CompiledParser &P, NodeRef Parent) { // namelist
+bool Rule7(LLStarParser &P, NodeRef Parent) { // namelist
   (void)P;
   (void)Parent;
   int64_t lm174 = -1;
@@ -3337,10 +2369,10 @@ s172:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(172, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(172, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s174;
     }
     P.consumeMatched(Parent);
@@ -3384,10 +2416,10 @@ s176:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 15) {
-      CompiledParser::ColdMatch M = P.coldMismatch(176, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(176, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s177;
     }
     P.consumeMatched(Parent);
@@ -3398,10 +2430,10 @@ s177:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(177, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(177, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s174;
     }
     P.consumeMatched(Parent);
@@ -3409,7 +2441,7 @@ s177:
   }
 }
 
-bool Rule8(CompiledParser &P, NodeRef Parent) { // explist
+bool Rule8(LLStarParser &P, NodeRef Parent) { // explist
   (void)P;
   (void)Parent;
   int64_t lm181 = -1;
@@ -3464,10 +2496,10 @@ s183:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 15) {
-      CompiledParser::ColdMatch M = P.coldMismatch(183, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(183, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s184;
     }
     P.consumeMatched(Parent);
@@ -3485,7 +2517,7 @@ s185:
   goto s181;
 }
 
-bool Rule9(CompiledParser &P, NodeRef Parent) { // exp
+bool Rule9(LLStarParser &P, NodeRef Parent) { // exp
   (void)P;
   (void)Parent;
   int64_t lm218 = -1;
@@ -3565,10 +2597,10 @@ s199:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 39) {
-      CompiledParser::ColdMatch M = P.coldMismatch(199, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(199, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s188;
     }
     P.consumeMatched(Parent);
@@ -3579,10 +2611,10 @@ s201:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 40) {
-      CompiledParser::ColdMatch M = P.coldMismatch(201, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(201, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s188;
     }
     P.consumeMatched(Parent);
@@ -3593,10 +2625,10 @@ s203:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 41) {
-      CompiledParser::ColdMatch M = P.coldMismatch(203, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(203, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s188;
     }
     P.consumeMatched(Parent);
@@ -3607,10 +2639,10 @@ s205:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 42) {
-      CompiledParser::ColdMatch M = P.coldMismatch(205, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(205, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s188;
     }
     P.consumeMatched(Parent);
@@ -3621,10 +2653,10 @@ s207:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 43) {
-      CompiledParser::ColdMatch M = P.coldMismatch(207, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(207, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s188;
     }
     P.consumeMatched(Parent);
@@ -3635,10 +2667,10 @@ s209:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 44) {
-      CompiledParser::ColdMatch M = P.coldMismatch(209, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(209, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s188;
     }
     P.consumeMatched(Parent);
@@ -3649,10 +2681,10 @@ s211:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 17) {
-      CompiledParser::ColdMatch M = P.coldMismatch(211, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(211, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s212;
     }
     P.consumeMatched(Parent);
@@ -3675,10 +2707,10 @@ s192:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 23) {
-      CompiledParser::ColdMatch M = P.coldMismatch(192, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(192, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s191;
     }
     P.consumeMatched(Parent);
@@ -3689,10 +2721,10 @@ s194:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 24) {
-      CompiledParser::ColdMatch M = P.coldMismatch(194, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(194, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s191;
     }
     P.consumeMatched(Parent);
@@ -3703,10 +2735,10 @@ s196:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 25) {
-      CompiledParser::ColdMatch M = P.coldMismatch(196, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(196, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s191;
     }
     P.consumeMatched(Parent);
@@ -3827,10 +2859,10 @@ s221:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 22) {
-      CompiledParser::ColdMatch M = P.coldMismatch(221, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(221, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s222;
     }
     P.consumeMatched(Parent);
@@ -3893,10 +2925,10 @@ s245:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 30) {
-      CompiledParser::ColdMatch M = P.coldMismatch(245, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(245, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s246;
     }
     P.consumeMatched(Parent);
@@ -3940,10 +2972,10 @@ s266:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 37) {
-      CompiledParser::ColdMatch M = P.coldMismatch(266, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(266, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s267;
     }
     P.consumeMatched(Parent);
@@ -3954,10 +2986,10 @@ s270:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 38) {
-      CompiledParser::ColdMatch M = P.coldMismatch(270, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(270, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s271;
     }
     P.consumeMatched(Parent);
@@ -3974,10 +3006,10 @@ s228:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 26) {
-      CompiledParser::ColdMatch M = P.coldMismatch(228, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(228, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s227;
     }
     P.consumeMatched(Parent);
@@ -3988,10 +3020,10 @@ s230:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 27) {
-      CompiledParser::ColdMatch M = P.coldMismatch(230, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(230, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s227;
     }
     P.consumeMatched(Parent);
@@ -4002,10 +3034,10 @@ s232:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 28) {
-      CompiledParser::ColdMatch M = P.coldMismatch(232, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(232, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s227;
     }
     P.consumeMatched(Parent);
@@ -4016,10 +3048,10 @@ s239:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 29) {
-      CompiledParser::ColdMatch M = P.coldMismatch(239, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(239, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s238;
     }
     P.consumeMatched(Parent);
@@ -4030,10 +3062,10 @@ s241:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 25) {
-      CompiledParser::ColdMatch M = P.coldMismatch(241, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(241, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s238;
     }
     P.consumeMatched(Parent);
@@ -4050,10 +3082,10 @@ s252:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 31) {
-      CompiledParser::ColdMatch M = P.coldMismatch(252, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(252, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s251;
     }
     P.consumeMatched(Parent);
@@ -4064,10 +3096,10 @@ s254:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 32) {
-      CompiledParser::ColdMatch M = P.coldMismatch(254, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(254, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s251;
     }
     P.consumeMatched(Parent);
@@ -4078,10 +3110,10 @@ s256:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 33) {
-      CompiledParser::ColdMatch M = P.coldMismatch(256, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(256, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s251;
     }
     P.consumeMatched(Parent);
@@ -4092,10 +3124,10 @@ s258:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 34) {
-      CompiledParser::ColdMatch M = P.coldMismatch(258, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(258, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s251;
     }
     P.consumeMatched(Parent);
@@ -4106,10 +3138,10 @@ s260:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 35) {
-      CompiledParser::ColdMatch M = P.coldMismatch(260, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(260, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s251;
     }
     P.consumeMatched(Parent);
@@ -4120,10 +3152,10 @@ s262:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 36) {
-      CompiledParser::ColdMatch M = P.coldMismatch(262, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(262, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s251;
     }
     P.consumeMatched(Parent);
@@ -4189,7 +3221,7 @@ s264:
   goto s218;
 }
 
-bool Rule10(CompiledParser &P, NodeRef Parent) { // prefixexp
+bool Rule10(LLStarParser &P, NodeRef Parent) { // prefixexp
   (void)P;
   (void)Parent;
   int64_t lm275 = -1;
@@ -4242,7 +3274,7 @@ s278:
   goto s275;
 }
 
-bool Rule11(CompiledParser &P, NodeRef Parent) { // primaryexp
+bool Rule11(LLStarParser &P, NodeRef Parent) { // primaryexp
   (void)P;
   (void)Parent;
   {
@@ -4274,10 +3306,10 @@ s279:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(279, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(279, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -4288,10 +3320,10 @@ s281:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 45) {
-      CompiledParser::ColdMatch M = P.coldMismatch(281, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(281, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s282;
     }
     P.consumeMatched(Parent);
@@ -4308,10 +3340,10 @@ s283:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 46) {
-      CompiledParser::ColdMatch M = P.coldMismatch(283, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(283, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -4319,7 +3351,7 @@ s283:
   }
 }
 
-bool Rule12(CompiledParser &P, NodeRef Parent) { // suffix
+bool Rule12(LLStarParser &P, NodeRef Parent) { // suffix
   (void)P;
   (void)Parent;
   {
@@ -4355,10 +3387,10 @@ s285:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 20) {
-      CompiledParser::ColdMatch M = P.coldMismatch(285, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(285, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s286;
     }
     P.consumeMatched(Parent);
@@ -4369,10 +3401,10 @@ s288:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 47) {
-      CompiledParser::ColdMatch M = P.coldMismatch(288, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(288, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s289;
     }
     P.consumeMatched(Parent);
@@ -4383,10 +3415,10 @@ s292:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 21) {
-      CompiledParser::ColdMatch M = P.coldMismatch(292, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(292, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s293;
     }
     P.consumeMatched(Parent);
@@ -4403,10 +3435,10 @@ s286:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(286, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(286, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -4423,10 +3455,10 @@ s293:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(293, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(293, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s294;
     }
     P.consumeMatched(Parent);
@@ -4441,10 +3473,10 @@ s290:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 48) {
-      CompiledParser::ColdMatch M = P.coldMismatch(290, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(290, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -4462,7 +3494,7 @@ s295:
   return true;
 }
 
-bool Rule13(CompiledParser &P, NodeRef Parent) { // args
+bool Rule13(LLStarParser &P, NodeRef Parent) { // args
   (void)P;
   (void)Parent;
   {
@@ -4496,10 +3528,10 @@ s298:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 45) {
-      CompiledParser::ColdMatch M = P.coldMismatch(298, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(298, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s300;
     }
     P.consumeMatched(Parent);
@@ -4510,10 +3542,10 @@ s305:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 43) {
-      CompiledParser::ColdMatch M = P.coldMismatch(305, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(305, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -4565,10 +3597,10 @@ s301:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 46) {
-      CompiledParser::ColdMatch M = P.coldMismatch(301, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(301, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -4580,7 +3612,7 @@ s303:
   goto s301;
 }
 
-bool Rule14(CompiledParser &P, NodeRef Parent) { // funcbody
+bool Rule14(LLStarParser &P, NodeRef Parent) { // funcbody
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())
@@ -4591,10 +3623,10 @@ s309:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 45) {
-      CompiledParser::ColdMatch M = P.coldMismatch(309, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(309, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s311;
     }
     P.consumeMatched(Parent);
@@ -4636,10 +3668,10 @@ s312:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 46) {
-      CompiledParser::ColdMatch M = P.coldMismatch(312, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(312, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s315;
     }
     P.consumeMatched(Parent);
@@ -4660,10 +3692,10 @@ s316:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 5) {
-      CompiledParser::ColdMatch M = P.coldMismatch(316, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(316, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -4671,7 +3703,7 @@ s316:
   }
 }
 
-bool Rule15(CompiledParser &P, NodeRef Parent) { // parlist
+bool Rule15(LLStarParser &P, NodeRef Parent) { // parlist
   (void)P;
   (void)Parent;
   {
@@ -4709,10 +3741,10 @@ s325:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 44) {
-      CompiledParser::ColdMatch M = P.coldMismatch(325, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(325, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -4752,10 +3784,10 @@ s322:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 15) {
-      CompiledParser::ColdMatch M = P.coldMismatch(322, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(322, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s323;
     }
     P.consumeMatched(Parent);
@@ -4770,10 +3802,10 @@ s323:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 44) {
-      CompiledParser::ColdMatch M = P.coldMismatch(323, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(323, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s321;
     }
     P.consumeMatched(Parent);
@@ -4781,7 +3813,7 @@ s323:
   }
 }
 
-bool Rule16(CompiledParser &P, NodeRef Parent) { // tableconstructor
+bool Rule16(LLStarParser &P, NodeRef Parent) { // tableconstructor
   (void)P;
   (void)Parent;
   int64_t lm333 = -1;
@@ -4793,10 +3825,10 @@ s327:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 49) {
-      CompiledParser::ColdMatch M = P.coldMismatch(327, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(327, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s329;
     }
     P.consumeMatched(Parent);
@@ -4838,10 +3870,10 @@ s330:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 50) {
-      CompiledParser::ColdMatch M = P.coldMismatch(330, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(330, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -4941,10 +3973,10 @@ s338:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 15) {
-      CompiledParser::ColdMatch M = P.coldMismatch(338, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(338, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s337;
     }
     P.consumeMatched(Parent);
@@ -4955,10 +3987,10 @@ s340:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 2) {
-      CompiledParser::ColdMatch M = P.coldMismatch(340, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(340, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s337;
     }
     P.consumeMatched(Parent);
@@ -4969,10 +4001,10 @@ s345:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 15) {
-      CompiledParser::ColdMatch M = P.coldMismatch(345, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(345, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s344;
     }
     P.consumeMatched(Parent);
@@ -4983,10 +4015,10 @@ s347:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 2) {
-      CompiledParser::ColdMatch M = P.coldMismatch(347, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(347, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s344;
     }
     P.consumeMatched(Parent);
@@ -5008,7 +4040,7 @@ s342:
   goto s333;
 }
 
-bool Rule17(CompiledParser &P, NodeRef Parent) { // field
+bool Rule17(LLStarParser &P, NodeRef Parent) { // field
   (void)P;
   (void)Parent;
   {
@@ -5042,10 +4074,10 @@ s350:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 47) {
-      CompiledParser::ColdMatch M = P.coldMismatch(350, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(350, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s351;
     }
     P.consumeMatched(Parent);
@@ -5072,10 +4104,10 @@ s357:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(357, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(357, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s358;
     }
     P.consumeMatched(Parent);
@@ -5090,10 +4122,10 @@ s352:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 48) {
-      CompiledParser::ColdMatch M = P.coldMismatch(352, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(352, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s353;
     }
     P.consumeMatched(Parent);
@@ -5104,10 +4136,10 @@ s358:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 3) {
-      CompiledParser::ColdMatch M = P.coldMismatch(358, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(358, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s359;
     }
     P.consumeMatched(Parent);
@@ -5118,10 +4150,10 @@ s353:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 3) {
-      CompiledParser::ColdMatch M = P.coldMismatch(353, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(353, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s354;
     }
     P.consumeMatched(Parent);
@@ -5149,7 +4181,7 @@ s355:
   return true;
 }
 
-bool Rule18(CompiledParser &P, NodeRef Parent) { // __synpred1_stat
+bool Rule18(LLStarParser &P, NodeRef Parent) { // __synpred1_stat
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())
@@ -5166,10 +4198,10 @@ s364:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 3) {
-      CompiledParser::ColdMatch M = P.coldMismatch(364, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(364, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -5177,7 +4209,7 @@ s364:
   }
 }
 
-bool Rule19(CompiledParser &P, NodeRef Parent) { // __synpred2_stat
+bool Rule19(LLStarParser &P, NodeRef Parent) { // __synpred2_stat
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())
@@ -5188,10 +4220,10 @@ s366:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 13) {
-      CompiledParser::ColdMatch M = P.coldMismatch(366, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(366, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s367;
     }
     P.consumeMatched(Parent);
@@ -5202,10 +4234,10 @@ s367:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(367, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(367, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s368;
     }
     P.consumeMatched(Parent);
@@ -5216,10 +4248,10 @@ s368:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 3) {
-      CompiledParser::ColdMatch M = P.coldMismatch(368, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(368, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -5227,7 +4259,7 @@ s368:
   }
 }
 
-bool Rule20(CompiledParser &P, NodeRef Parent) { // __synpred3_field
+bool Rule20(LLStarParser &P, NodeRef Parent) { // __synpred3_field
   (void)P;
   (void)Parent;
   if (!P.deadlineOk())
@@ -5238,10 +4270,10 @@ s370:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 14) {
-      CompiledParser::ColdMatch M = P.coldMismatch(370, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(370, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         goto s371;
     }
     P.consumeMatched(Parent);
@@ -5252,10 +4284,10 @@ s371:
     if (!P.deadlineOk())
       return false;
     if (P.stream().LA(1) != 3) {
-      CompiledParser::ColdMatch M = P.coldMismatch(371, Parent);
-      if (M == CompiledParser::ColdMatch::Unwind)
+      LLStarParser::ColdMatch M = P.coldMismatch(371, Parent);
+      if (M == LLStarParser::ColdMatch::Unwind)
         return false;
-      if (M == CompiledParser::ColdMatch::Inserted)
+      if (M == LLStarParser::ColdMatch::Inserted)
         return true;
     }
     P.consumeMatched(Parent);
@@ -7207,17 +6239,6 @@ extern const CompiledGrammarModule kModule_Lua;
 const CompiledGrammarModule kModule_Lua = {
     /*GrammarName=*/"Lua",
     /*PayloadHash=*/0x2d4fad278ca90789ull,
-    /*Tables=*/
-    {
-        /*NumTokens=*/52,
-        /*NumStates=*/374,
-        /*NumRules=*/21,
-        /*NumDecisions=*/34,
-        /*SetWordsPerSet=*/1,
-        kStates, kRuleStarts, kRuleStops, kAltTargets,
-        kDecisionStates, kDecisions, kDfaTrans, kDfaAccept,
-        kDfaPredFirst, kDfaPredCount, kPredEdges, kSetWords,
-    },
     /*Native=*/kNative,
     /*Rules=*/kNativeRules,
     /*LexNext=*/kLexNext,

@@ -22,11 +22,12 @@
 /// user types [1, NumTokens] to [2, NumTokens+1]; the row width is
 /// NumTokens + 2.
 ///
-/// The same layout has two producers: every \ref AnalyzedGrammar builds
-/// its own tables (\ref AnalyzedGrammar::tables), and `llstar compile
-/// --emit-cpp` emits the arrays as static data in a self-contained C++
-/// module (see codegen/CompiledModuleEmitter.h). Both feed the one engine,
-/// \ref LLStarParser, through the non-owning \ref TablesView.
+/// Every \ref AnalyzedGrammar builds its own tables (\ref
+/// AnalyzedGrammar::tables), and the one engine, \ref LLStarParser, walks
+/// them through the non-owning \ref TablesView. A native module generated
+/// by `llstar compile --emit-cpp` (see codegen/CompiledModuleEmitter.h)
+/// folds their state ids and labels into code and runs against the same
+/// view.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,8 +46,7 @@ class AnalyzedGrammar;
 namespace compiled {
 
 /// One flattened ATN state: the \ref AtnState fields plus its single
-/// non-decision transition (or its decision metadata) inlined. Plain
-/// aggregate so generated modules can emit arrays of these statically.
+/// non-decision transition (or its decision metadata) inlined.
 struct CState {
   /// AtnStateKind as int (avoid enum-class header coupling in generated
   /// data); see atn/ATN.h.
@@ -163,20 +163,12 @@ public:
 
   const TablesView &view() const { return View; }
 
-  /// Pool sizes the view does not carry; the module emitter needs them to
-  /// write the arrays out as static data.
+  /// Pool sizes the view does not carry (for comparing two table sets).
   size_t numAltTargets() const { return AltTargets.size(); }
   size_t numDfaTransEntries() const { return DfaTrans.size(); }
   size_t numDfaStatesTotal() const { return DfaAccept.size(); }
   size_t numPredEdges() const { return PredEdges.size(); }
   size_t numSetWords() const { return SetWords.size(); }
-
-  /// Total int32-equivalent table entries (size diagnostics for tools).
-  size_t tableEntries() const {
-    return States.size() * (sizeof(CState) / sizeof(int32_t)) +
-           DfaTrans.size() + DfaAccept.size() * 3 + AltTargets.size() +
-           SetWords.size() * 2 + PredEdges.size() * 4;
-  }
 
   CompiledTables(CompiledTables &&O) noexcept { moveFrom(std::move(O)); }
   CompiledTables &operator=(CompiledTables &&O) noexcept {

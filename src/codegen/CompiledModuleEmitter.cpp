@@ -147,7 +147,7 @@ void emitNativePredictor(std::ostream &OS, const LookaheadDfa &Dfa,
 /// body cannot diverge from the table walk.
 void emitNativeRule(std::ostream &OS, const TablesView &V, int32_t R,
                     std::string_view RuleName,
-                    const std::vector<bool> &HasNative, bool &UsesSetHas) {
+                    const std::vector<bool> &HasNative) {
   int32_t Start = V.RuleStarts[R];
   int32_t Stop = V.RuleStops[R];
 
@@ -276,10 +276,9 @@ void emitNativeRule(std::ostream &OS, const TablesView &V, int32_t R,
       if (IsAtom) {
         OS << "    if (P.stream().LA(1) != " << S.Label << ") {\n";
       } else {
-        UsesSetHas = true;
         OS << "    int32_t La = P.stream().LA(1);\n"
-           << "    if (La == TokenEof || !setHas(" << S.SetIndex
-           << ", La)) {\n";
+           << "    if (La == TokenEof || !P.tables().setContains("
+           << S.SetIndex << ", La)) {\n";
       }
       OS << "      LLStarParser::ColdMatch M = P.coldMismatch(" << K
          << ", Parent);\n"
@@ -323,8 +322,7 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
   Out.SymbolName = "kModule_" + Ident;
   Out.NumDecisions = int32_t(AG.numDecisions());
 
-  const CompiledTables &T = AG.tables();
-  const TablesView &V = T.view();
+  const TablesView &V = AG.tables().view();
   uint64_t Hash = hashPayload(serializeGrammar(AG));
 
   // The lexer tables, compiled the same way every loader compiles them.
@@ -351,52 +349,6 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
      << "namespace compiled {\n"
      << "namespace {\n\n";
 
-  // --- Parser tables ------------------------------------------------------
-  emitArray(OS, "CState", "kStates", size_t(V.NumStates), 1,
-            [&](std::ostream &O, size_t I) {
-              const CState &S = V.States[I];
-              O << "{" << S.Kind << ", " << S.TransKind << ", " << S.RuleIndex
-                << ", " << S.Decision << ", " << S.EndState << ", " << S.Target
-                << ", " << S.Label << ", " << S.SetIndex << ", "
-                << S.CalleeRule << ", " << S.FollowState << ", "
-                << S.Precedence << ", " << S.PredIndex << ", "
-                << S.ActionIndex << ", " << S.FirstAltTarget << ", "
-                << S.NumAlts << "}";
-            });
-  emitArray(OS, "int32_t", "kRuleStarts", size_t(V.NumRules), 16,
-            [&](std::ostream &O, size_t I) { O << V.RuleStarts[I]; });
-  emitArray(OS, "int32_t", "kRuleStops", size_t(V.NumRules), 16,
-            [&](std::ostream &O, size_t I) { O << V.RuleStops[I]; });
-  emitArray(OS, "int32_t", "kAltTargets", T.numAltTargets(), 16,
-            [&](std::ostream &O, size_t I) { O << V.AltTargets[I]; });
-  emitArray(OS, "int32_t", "kDecisionStates", size_t(V.NumDecisions), 16,
-            [&](std::ostream &O, size_t I) { O << V.DecisionStates[I]; });
-  emitArray(OS, "CDecision", "kDecisions", size_t(V.NumDecisions), 4,
-            [&](std::ostream &O, size_t I) {
-              const CDecision &D = V.Decisions[I];
-              O << "{" << D.NumStates << ", " << D.TransBase << ", "
-                << D.MetaBase << "}";
-            });
-  emitArray(OS, "int32_t", "kDfaTrans", T.numDfaTransEntries(), 16,
-            [&](std::ostream &O, size_t I) { O << V.DfaTrans[I]; });
-  emitArray(OS, "int32_t", "kDfaAccept", T.numDfaStatesTotal(), 16,
-            [&](std::ostream &O, size_t I) { O << V.DfaAccept[I]; });
-  emitArray(OS, "int32_t", "kDfaPredFirst", T.numDfaStatesTotal(), 16,
-            [&](std::ostream &O, size_t I) { O << V.DfaPredFirst[I]; });
-  emitArray(OS, "int32_t", "kDfaPredCount", T.numDfaStatesTotal(), 16,
-            [&](std::ostream &O, size_t I) { O << V.DfaPredCount[I]; });
-  emitArray(OS, "CPredEdge", "kPredEdges", T.numPredEdges(), 4,
-            [&](std::ostream &O, size_t I) {
-              const CPredEdge &P = V.PredEdges[I];
-              O << "{" << P.Kind << ", " << P.A << ", " << P.B << ", "
-                << P.Alt << "}";
-            });
-  emitArray(OS, "uint64_t", "kSetWords", T.numSetWords(), 4,
-            [&](std::ostream &O, size_t I) {
-              O << hex64(V.SetWords[I]);
-            });
-  OS << "\n";
-
   // --- Native predictors --------------------------------------------------
   std::vector<bool> HasNative(size_t(Out.NumDecisions), false);
   for (int32_t D = 0; D < Out.NumDecisions; ++D) {
@@ -418,22 +370,11 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
 
   // --- Native rule bodies -------------------------------------------------
   Out.NumRules = V.NumRules;
-  bool UsesSetHas = false;
   std::ostringstream RuleOS;
   for (int32_t R = 0; R < V.NumRules; ++R) {
-    emitNativeRule(RuleOS, V, R, AG.grammar().rule(R).Name, HasNative,
-                   UsesSetHas);
+    emitNativeRule(RuleOS, V, R, AG.grammar().rule(R).Name, HasNative);
     ++Out.NumNativeRules;
   }
-  if (UsesSetHas)
-    OS << "/// TablesView::setContains against this module's kSetWords.\n"
-       << "inline bool setHas(int32_t SetIndex, int32_t T) {\n"
-       << "  uint32_t I = uint32_t(T + 1);\n"
-       << "  if (I >= " << V.rowWidth() << "u)\n"
-       << "    I = 1;\n"
-       << "  return (kSetWords[size_t(SetIndex) + size_t(I >> 6)] >> "
-          "(I & 63)) & 1;\n"
-       << "}\n\n";
   OS << RuleOS.str();
   emitArray(OS, "NativeRuleFn", "kNativeRules", size_t(V.NumRules), 4,
             [&](std::ostream &O, size_t I) { O << "&Rule" << I; });
@@ -462,17 +403,6 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
      << "const CompiledGrammarModule " << Out.SymbolName << " = {\n"
      << "    /*GrammarName=*/\"" << Name << "\",\n"
      << "    /*PayloadHash=*/" << hex64(Hash) << ",\n"
-     << "    /*Tables=*/\n"
-     << "    {\n"
-     << "        /*NumTokens=*/" << V.NumTokens << ",\n"
-     << "        /*NumStates=*/" << V.NumStates << ",\n"
-     << "        /*NumRules=*/" << V.NumRules << ",\n"
-     << "        /*NumDecisions=*/" << V.NumDecisions << ",\n"
-     << "        /*SetWordsPerSet=*/" << V.SetWordsPerSet << ",\n"
-     << "        kStates, kRuleStarts, kRuleStops, kAltTargets,\n"
-     << "        kDecisionStates, kDecisions, kDfaTrans, kDfaAccept,\n"
-     << "        kDfaPredFirst, kDfaPredCount, kPredEdges, kSetWords,\n"
-     << "    },\n"
      << "    /*Native=*/kNative,\n"
      << "    /*Rules=*/kNativeRules,\n"
      << "    /*LexNext=*/kLexNext,\n"
@@ -486,10 +416,6 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
      << "} // namespace llstar\n";
 
   Out.Source = OS.str();
-  Out.TableBytes = size_t(V.NumStates) * sizeof(CState) +
-                   T.numDfaTransEntries() * 4 + T.numDfaStatesTotal() * 12 +
-                   T.numAltTargets() * 4 + T.numSetWords() * 8 +
-                   T.numPredEdges() * sizeof(CPredEdge) +
-                   LexStates.size() * 257 * 4;
+  Out.TableBytes = LexStates.size() * 257 * 4 + Lex.types().size() * 5;
   return Out;
 }

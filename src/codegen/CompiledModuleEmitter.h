@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Emits an analyzed grammar as a self-contained C++ translation unit, the
-/// native module that accelerates \ref LLStarParser: the flat dispatch
-/// tables of analysis/CompiledTables.h as static arrays, a generated
+/// native module that accelerates \ref LLStarParser: a generated
 /// switch-dispatch predictor function per predicate-free decision, a
-/// generated body per rule, the dense lexer byte-DFA, and one extern
+/// generated body per rule (state ids, labels and set indices of the
+/// grammar's analysis/CompiledTables.h folded to constants; the parser
+/// supplies the tables at run time), the dense lexer byte-DFA, and one extern
 /// \ref llstar::compiled::CompiledGrammarModule object stamped with the
 /// FNV-1a hash of the grammar's serialized analysis payload. The emitted
 /// file compiles against compiled/CompiledRegistry.h and
@@ -46,7 +47,8 @@ struct EmittedCompiledModule {
   /// them; kept as a count for tool diagnostics).
   int32_t NumNativeRules = 0;
   int32_t NumRules = 0;
-  /// Approximate static-data footprint of the emitted tables, in bytes.
+  /// Approximate static-data footprint of the emitted lexer tables, in
+  /// bytes.
   size_t TableBytes = 0;
 };
 

@@ -62,19 +62,15 @@ CompiledResolution
 llstar::compiled::resolveCompiledTables(const AnalyzedGrammar &AG,
                                         std::string_view SerializedPayload) {
   CompiledResolution Res;
-  if (!SerializedPayload.empty()) {
-    if (const CompiledGrammarModule *M =
-            findCompiledModule(AG.grammar().Name)) {
-      if (M->PayloadHash == hashPayload(SerializedPayload)) {
-        Res.View = M->Tables;
-        Res.Native = M->Native;
-        Res.Rules = M->Rules;
-        Res.Module = M;
-        return Res;
-      }
-    }
-  }
   Res.View = AG.tables().view();
+  if (SerializedPayload.empty())
+    return Res;
+  const CompiledGrammarModule *M = findCompiledModule(AG.grammar().Name);
+  if (M && M->PayloadHash == hashPayload(SerializedPayload)) {
+    Res.Native = M->Native;
+    Res.Rules = M->Rules;
+    Res.Module = M;
+  }
   return Res;
 }
 

@@ -7,17 +7,19 @@
 /// \file
 /// The conformance-gated registry of native grammar modules, the optional
 /// accelerator of \ref LLStarParser. `llstar compile --emit-cpp` turns a
-/// grammar into a self-contained C++ module holding the flat dispatch
-/// tables of analysis/CompiledTables.h as static data, generated switch
+/// grammar into a self-contained C++ module holding generated switch
 /// predictors for its predicate-free decisions, generated rule bodies, and
 /// the dense lexer byte-DFA; the module registers itself here under the
 /// grammar's name plus the FNV-1a hash of its serialized analysis payload.
+/// A module carries no parser tables: its generated code runs against the
+/// tables the grammar's own analysis built (\ref AnalyzedGrammar::tables).
 ///
 /// The hash is the gate: \ref resolveCompiledTables only serves a module
 /// when the payload hash of the grammar just loaded matches the hash the
-/// module was generated from. A stale module (grammar edited after the
-/// last `--emit-cpp` run) is skipped: the parser walks the tables the
-/// analysis built, with the same behavior and without the generated code.
+/// module was generated from, so every state id, decision number and set
+/// index folded into the generated code names the same entry of those
+/// tables. A stale module (grammar edited after the last `--emit-cpp` run)
+/// is skipped: the parser walks the same tables without the generated code.
 /// CI additionally fails the build when regenerating a module produces a
 /// diff, so shipped modules cannot go stale unnoticed.
 ///
@@ -50,9 +52,6 @@ struct CompiledGrammarModule {
   /// was generated from (see \ref hashPayload).
   uint64_t PayloadHash = 0;
 
-  /// The flat parser tables (static-storage twin of the grammar's
-  /// AnalyzedGrammar::tables()).
-  TablesView Tables;
   /// Per decision: generated switch predictor, or null for decisions that
   /// need the table walk (predicated DFAs). Null when none were generated.
   const NativePredictFn *Native = nullptr;
@@ -89,8 +88,8 @@ std::vector<const CompiledGrammarModule *> compiledModules();
 /// What a grammar's parses may use beyond its own tables: the generated code
 /// of a registered module whose payload hash matched, or nothing.
 struct CompiledResolution {
-  /// The tables to walk: the module's static copy, or the grammar's own
-  /// AnalyzedGrammar::tables() when no module matched.
+  /// The tables to walk: always the grammar's own AnalyzedGrammar::tables(),
+  /// module or not.
   TablesView View;
   const NativePredictFn *Native = nullptr;
   const NativeRuleFn *Rules = nullptr;

@@ -40,6 +40,8 @@ LLStarParser::LLStarParser(const AnalyzedGrammar &AG, const TablesView &Tables,
                            const NativeRuleFn *NativeRules)
     : AG(AG), CT(Tables), Stream(Stream), Env(Env), Diags(Diags), Opts(Opts),
       Native(Native), NativeRules(NativeRules) {
+  assert(CT.States == AG.tables().view().States &&
+         "LLStarParser walks its grammar's own tables");
   Stats.ensure(size_t(CT.NumDecisions));
   NoDeadline =
       this->Opts.Deadline == std::chrono::steady_clock::time_point::max();
@@ -97,6 +99,8 @@ bool LLStarParser::runRule(int32_t RuleIndex, int32_t Precedence,
                            NodeRef Parent) {
   const Rule &R = AG.grammar().rule(RuleIndex);
 
+  // Memoize speculative whole-rule parses (packrat memoization; only while
+  // speculating, per paper Section 6.2).
   uint64_t Key = 0;
   bool UseMemo = speculating() && Opts.Memoize;
   if (UseMemo) {
@@ -145,6 +149,9 @@ bool LLStarParser::runRule(int32_t RuleIndex, int32_t Precedence,
     PrecStack.pop_back();
 
   if (!Ok && canRecover()) {
+    // Sync-and-return: pretend the rule completed, resynchronizing the
+    // input to a token some caller can match. The error was already
+    // reported; the skipped region survives as error leaves under Node.
     syncAfterRuleFailure(Node);
     Ok = true;
   }

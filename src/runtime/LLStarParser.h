@@ -148,10 +148,10 @@ public:
   LLStarParser(const AnalyzedGrammar &AG, TokenStream &Stream,
                SemanticEnv *Env, DiagnosticEngine &Diags, ParserOptions Opts,
                NativeCode Native = {});
-  /// Walks \p Tables: \p AG's own tables or a hash-matched module's static
-  /// copy of them. \p Native, when non-null, holds one generated predictor
-  /// per decision; \p NativeRules, when non-null, one generated body per
-  /// rule (null entries fall back to the table walk).
+  /// The same parser spelled with an explicit view, for callers that pass
+  /// \ref compiled::CompiledResolution's fields one by one. \p Tables must
+  /// be `AG.tables().view()`; \p Native and \p NativeRules are the two
+  /// halves of \ref NativeCode.
   LLStarParser(const AnalyzedGrammar &AG, const compiled::TablesView &Tables,
                TokenStream &Stream, SemanticEnv *Env, DiagnosticEngine &Diags,
                ParserOptions Opts, const NativePredictFn *Native = nullptr,
@@ -251,6 +251,10 @@ public:
   bool fastPredict() const { return FastPredictOk; }
 
   TokenStream &stream() { return Stream; }
+
+  /// The tables being walked; generated bodies test Set transitions
+  /// against its bitsets.
+  const compiled::TablesView &tables() const { return CT; }
 
 private:
   /// Epsilon-loop watermark entry (see runStates); rule bodies hold at

@@ -18,9 +18,8 @@
 //   - Through the checked-in native modules: every shipped grammar must
 //     hash-match its registered module (stale modules fail here *and* in
 //     the CI regen-diff gate), the module lexer must tokenize identically
-//     to the spec-compiled lexer, and parses through the module's static
-//     tables, native predictors and rule bodies must match the table walk
-//     alone.
+//     to the spec-compiled lexer, and parses through the module's native
+//     predictors and rule bodies must match the table walk alone.
 //   - Through every AnalyzedGrammar construction path: analyze, fromParts,
 //     deserializeGrammar and bundle bytes all carry tables and parse alike.
 //
@@ -132,10 +131,10 @@ struct Capture {
   }
 };
 
-/// How a capture reaches the engine: the grammar's own tables, or a
-/// module's static tables with its native code and lexer.
+/// How a capture reaches the engine: the grammar's own tables alone, or
+/// with a module's native code, tokenized by the spec-compiled lexer or by
+/// \p Lex.
 struct Route {
-  const compiled::TablesView *View = nullptr;
   NativeCode Native;
   const Lexer *Lex = nullptr;
 };
@@ -157,14 +156,8 @@ Capture capture(const AnalyzedGrammar &AG, const std::string &Input,
   };
   auto Parse = [&](TokenStream &Stream, DiagnosticEngine &Diags,
                    const ParserOptions &Opts, auto &&Use) {
-    if (Via.View) {
-      LLStarParser P(AG, *Via.View, Stream, nullptr, Diags, Opts,
-                     Via.Native.Predict, Via.Native.Rules);
-      Use(P);
-    } else {
-      LLStarParser P(AG, Stream, nullptr, Diags, Opts, Via.Native);
-      Use(P);
-    }
+    LLStarParser P(AG, Stream, nullptr, Diags, Opts, Via.Native);
+    Use(P);
   };
   Capture C;
   {
@@ -251,7 +244,7 @@ TEST_P(CompiledCorpusConformance, MatchesInterpreterOnSampledSentences) {
                               (Recover ? " [recover] <" : " <") + Input + ">";
         Capture Walk = capture(*AG, Input, Recover);
         Capture Read = capture(*FromBundle->AG, Input, Recover,
-                               {nullptr, {}, FromBundle->Lex.get()});
+                               {{}, FromBundle->Lex.get()});
         expectIdentical(Walk, Read, Context + " (from bundle bytes)");
         Recorded += std::to_string(Case) + (Recover ? " 1 " : " 0 ") +
                     Walk.digest() + "\n";
@@ -347,7 +340,7 @@ TEST(CompiledConformance, GoldenRecoveredTreesMatchSnapshots) {
     compiled::CompiledResolution Res = shippedModule(*AG);
     auto ModuleLex = compiled::makeModuleLexer(*Res.Module);
     Capture Native = capture(*AG, C.Input, /*Recover=*/true,
-                             {&Res.View, Res.native(), ModuleLex.get()});
+                             {Res.native(), ModuleLex.get()});
     expectIdentical(Walk, Native, C.Grammar);
   }
 }
@@ -393,20 +386,14 @@ TEST(CompiledConformance, ShippedModulesHashMatchAndAgree) {
         EXPECT_EQ(A[I].Loc.Column, B[I].Loc.Column);
       }
 
-      // Table walk alone vs the module's static tables + native
-      // predictors + generated rule bodies, and vs the native code over
-      // the grammar's own tables (what the tools pass).
+      // Table walk alone vs the same tables with the module's native
+      // predictors, generated rule bodies and lexer (what the tools pass).
       for (bool Recover : {false, true}) {
         std::string Context = std::string(C.Grammar) + " <" + Input + ">";
-        Capture Walk = capture(*AG, Input, Recover);
-        expectIdentical(Walk,
+        expectIdentical(capture(*AG, Input, Recover),
                         capture(*AG, Input, Recover,
-                                {&Res.View, Res.native(), ModuleLex.get()}),
-                        Context + " (module tables)");
-        expectIdentical(Walk,
-                        capture(*AG, Input, Recover,
-                                {nullptr, Res.native(), nullptr}),
-                        Context + " (own tables)");
+                                {Res.native(), ModuleLex.get()}),
+                        Context);
       }
     }
   }
@@ -444,8 +431,8 @@ TEST(CompiledConformance, HashGateRejectsStaleModules) {
   ASSERT_NE(M, nullptr);
 
   // A module whose payload hash disagrees (a grammar edited after its last
-  // --emit-cpp run) must be skipped: the grammar's own tables, no native
-  // code.
+  // --emit-cpp run) must be skipped: no native code. The tables are the
+  // grammar's own either way.
   static compiled::CompiledGrammarModule Stale;
   Stale = *M;
   Stale.PayloadHash ^= 1;
@@ -461,6 +448,7 @@ TEST(CompiledConformance, HashGateRejectsStaleModules) {
   compiled::registerShippedGrammars();
   Res = compiled::resolveCompiledTables(*AG, Payload);
   EXPECT_TRUE(Res.fromModule());
+  EXPECT_EQ(Res.View.States, AG->tables().view().States);
 
   // An empty payload skips the registry entirely.
   Res = compiled::resolveCompiledTables(*AG, "");
@@ -567,7 +555,7 @@ TEST(CompiledConformance, EveryConstructionPathCarriesTables) {
       for (size_t P = 1; P < std::size(Paths); ++P)
         expectIdentical(Want,
                         capture(*Paths[P], Input, /*Recover=*/true,
-                                {nullptr, {}, Lexers[P]}),
+                                {{}, Lexers[P]}),
                         std::string(Names[P]) + " <" + Input + ">");
     }
   }

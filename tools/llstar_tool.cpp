@@ -97,8 +97,8 @@ void printUsage(std::FILE *Out) {
       "      analyze once and write a versioned grammar bundle that\n"
       "      llstar-batch and the ParseService load without re-analysis\n"
       "  compile <grammar.g> --emit-cpp -o <out.cpp>\n"
-      "      emit a self-contained native module: dense dispatch tables,\n"
-      "      switch predictors and rule bodies that accelerate the parser\n"
+      "      emit a self-contained native module: switch predictors,\n"
+      "      rule bodies and lexer tables that accelerate the parser\n"
       "      (see grammars/compiled/ for the checked-in registry)\n"
       "  generate <grammar.g> <ClassName> [-o <dir>]\n"
       "      emit <dir>/<ClassName>.h/.cpp embedding the precompiled\n"
@@ -449,7 +449,7 @@ int cmdCompile(const std::vector<std::string> &Args) {
     }
     Out << Module.Source;
     std::printf("wrote %s (%zu bytes, %s, %d/%d decisions native, "
-                "%d/%d rules native, %zu table bytes)\n",
+                "%d/%d rules native, %zu lexer table bytes)\n",
                 OutPath.c_str(), Module.Source.size(),
                 Module.SymbolName.c_str(), Module.NumNativePredictors,
                 Module.NumDecisions, Module.NumNativeRules, Module.NumRules,
