@@ -13,8 +13,11 @@
 //      generated code replaces; tree building costs the same in both).
 //
 // Workloads are synthetic but idiomatic per grammar, sized by --units.
-// `--json FILE` records the results; BENCH_compiled.json at the repo root
-// is a committed baseline. Every shipped grammar is expected to resolve
+// Each cell alternates --repeat sample pairs (table walk, native), each
+// sample repeating its parse or lex for at least MinSampleSecs, and
+// reports the median and interquartile range. `--json FILE` records the
+// results with the build type and git revision; BENCH_compiled.json at
+// the repo root is a committed baseline from a Release build. Every shipped grammar is expected to resolve
 // its checked-in module (hash gate open); the report says so per grammar.
 //
 //   bench_compiled [--units N] [--repeat N] [--json FILE]
@@ -30,6 +33,8 @@
 
 #include "CompiledManifest.h"
 
+#include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -165,29 +170,77 @@ std::string readFile(const std::string &Path) {
   return Out.str();
 }
 
-/// Best-of-N wall time of \p Fn.
-template <class FnT> double bestOf(int Repeat, FnT &&Fn) {
-  double Best = 1e9;
-  for (int Rep = 0; Rep < Repeat; ++Rep) {
-    double T0 = now();
+/// Every sample repeats its call until this much wall time has passed, so
+/// sub-millisecond parses are timed over many runs.
+constexpr double MinSampleSecs = 0.1;
+
+/// Seconds per call of \p Fn over one sample.
+template <class FnT> double sample(FnT &&Fn) {
+  int64_t Calls = 0;
+  double T0 = now(), Elapsed = 0;
+  do {
     Fn();
-    Best = std::min(Best, now() - T0);
-  }
-  return Best;
+    ++Calls;
+    Elapsed = now() - T0;
+  } while (Elapsed < MinSampleSecs);
+  return Elapsed / double(Calls);
 }
 
-/// One layer measured without (Base) and with (Native) the module's code.
-struct Split {
-  double BaseSecs = 0, NativeSecs = 0;
-  double BaseTps = 0, NativeTps = 0;
-  double Speedup = 0;
+/// Median and interquartile range of a set of samples.
+struct Spread {
+  double Median = 0, Q1 = 0, Q3 = 0;
 
-  void finish(int64_t Tokens) {
-    BaseTps = double(Tokens) / BaseSecs;
-    NativeTps = double(Tokens) / NativeSecs;
-    Speedup = BaseSecs / NativeSecs;
+  static Spread of(std::vector<double> V) {
+    std::sort(V.begin(), V.end());
+    auto At = [&](double Q) {
+      double Pos = Q * double(V.size() - 1);
+      size_t Lo = size_t(Pos);
+      size_t Hi = std::min(Lo + 1, V.size() - 1);
+      return V[Lo] + (V[Hi] - V[Lo]) * (Pos - double(Lo));
+    };
+    return {At(0.5), At(0.25), At(0.75)};
   }
 };
+
+/// One layer measured without (Base) and with (Native) the module's code:
+/// Repeat sample pairs, alternating the two sides so host drift hits both.
+/// Speedup is the spread of the per-pair ratios base/native.
+struct Split {
+  Spread BaseSecs, NativeSecs, Speedup;
+  double BaseTps = 0, NativeTps = 0;
+
+  template <class BaseFn, class NativeFn>
+  void measure(int Repeat, int64_t Tokens, BaseFn &&Base,
+               NativeFn &&Native) {
+    std::vector<double> B, N, R;
+    for (int Rep = 0; Rep < Repeat; ++Rep) {
+      B.push_back(sample(Base));
+      N.push_back(sample(Native));
+      R.push_back(B.back() / N.back());
+    }
+    BaseSecs = Spread::of(B);
+    NativeSecs = Spread::of(N);
+    Speedup = Spread::of(R);
+    BaseTps = double(Tokens) / BaseSecs.Median;
+    NativeTps = double(Tokens) / NativeSecs.Median;
+  }
+};
+
+/// The checkout's git revision, "-dirty" when it has local changes.
+std::string gitRevision() {
+  std::string Cmd = std::string("git -C \"") + LLSTAR_SOURCE_DIR +
+                    "\" describe --always --dirty --abbrev=12 2>/dev/null";
+  std::string Rev;
+  if (FILE *P = popen(Cmd.c_str(), "r")) {
+    char Buf[128];
+    while (std::fgets(Buf, sizeof(Buf), P))
+      Rev += Buf;
+    pclose(P);
+  }
+  while (!Rev.empty() && std::isspace(uint8_t(Rev.back())))
+    Rev.pop_back();
+  return Rev.empty() ? "unknown" : Rev;
+}
 
 struct GrammarReport {
   std::string Name;
@@ -220,8 +273,10 @@ int main(int Argc, char **Argv) {
 
   compiled::registerShippedGrammars();
   std::vector<GrammarReport> Reports;
-  std::printf("table walk vs native module: %d units, best of %d\n\n",
-              Units, Repeat);
+  std::printf("table walk vs native module: %d units, median of %d "
+              "alternating samples of >= %.2f s (%s build, %s)\n\n",
+              Units, Repeat, MinSampleSecs, LLSTAR_BUILD_TYPE,
+              gitRevision().c_str());
   std::printf("%-8s %-7s %-8s %12s %12s %8s %12s %12s %8s\n", "grammar",
               "module", "native", "lex-spec t/s", "lex-mod t/s", "lex-x",
               "walk t/s", "native t/s", "par-x");
@@ -263,16 +318,17 @@ int main(int Argc, char **Argv) {
 
     // Lexer split. Without a module (stale hash) the native side runs
     // the same spec lexer; the speedup column then honestly reads ~1x.
-    R.Lex.BaseSecs = bestOf(Repeat, [&] {
-      DiagnosticEngine D;
-      SpecLex.tokenize(Input, D);
-    });
     const Lexer &NativeLex = ModuleLex ? *ModuleLex : SpecLex;
-    R.Lex.NativeSecs = bestOf(Repeat, [&] {
-      DiagnosticEngine D;
-      NativeLex.tokenize(Input, D);
-    });
-    R.Lex.finish(R.Tokens);
+    R.Lex.measure(
+        Repeat, R.Tokens,
+        [&] {
+          DiagnosticEngine D;
+          SpecLex.tokenize(Input, D);
+        },
+        [&] {
+          DiagnosticEngine D;
+          NativeLex.tokenize(Input, D);
+        });
 
     // Full-parse split: trees and stats off so the measurement isolates
     // prediction + matching, the layer the generated code replaces.
@@ -289,44 +345,58 @@ int main(int Argc, char **Argv) {
         std::exit(1);
       }
     };
-    R.Parse.BaseSecs = bestOf(Repeat, [&] {
-      Stream.seek(0);
-      DiagnosticEngine D;
-      LLStarParser P(*AG, Stream, nullptr, D, Opts);
-      P.parse();
-      CheckOk(P.ok(), D, "table walk");
-    });
-    R.Parse.NativeSecs = bestOf(Repeat, [&] {
-      Stream.seek(0);
-      DiagnosticEngine D;
-      LLStarParser P(*AG, Stream, nullptr, D, Opts, Res.native());
-      P.parse();
-      CheckOk(P.ok(), D, "native module");
-    });
-    R.Parse.finish(R.Tokens);
+    R.Parse.measure(
+        Repeat, R.Tokens,
+        [&] {
+          Stream.seek(0);
+          DiagnosticEngine D;
+          LLStarParser P(*AG, Stream, nullptr, D, Opts);
+          P.parse();
+          CheckOk(P.ok(), D, "table walk");
+        },
+        [&] {
+          Stream.seek(0);
+          DiagnosticEngine D;
+          LLStarParser P(*AG, Stream, nullptr, D, Opts, Res.native());
+          P.parse();
+          CheckOk(P.ok(), D, "native module");
+        });
 
     char Native[16];
     std::snprintf(Native, sizeof(Native), "%d/%d", R.NativePredictors,
                   R.Decisions);
-    std::printf("%-8s %-7s %-8s %12.0f %12.0f %7.2fx %12.0f %12.0f %7.2fx\n",
+    std::printf("%-8s %-7s %-8s %12.0f %12.0f %7.2fx %12.0f %12.0f %7.2fx "
+                "(IQR %.2f-%.2f)\n",
                 R.Name.c_str(), R.FromModule ? "yes" : "STALE", Native,
-                R.Lex.BaseTps, R.Lex.NativeTps, R.Lex.Speedup,
-                R.Parse.BaseTps, R.Parse.NativeTps, R.Parse.Speedup);
+                R.Lex.BaseTps, R.Lex.NativeTps, R.Lex.Speedup.Median,
+                R.Parse.BaseTps, R.Parse.NativeTps, R.Parse.Speedup.Median,
+                R.Parse.Speedup.Q1, R.Parse.Speedup.Q3);
     Reports.push_back(std::move(R));
   }
 
   if (!JsonPath.empty()) {
-    std::string Out = "{\n  \"units\": " + std::to_string(Units) +
-                      ",\n  \"repeat\": " + std::to_string(Repeat) +
-                      ",\n  \"grammars\": [\n";
-    char Buf[512];
+    char Buf[768];
+    std::snprintf(Buf, sizeof(Buf),
+                  "{\n  \"buildType\": \"%s\",\n  \"gitRev\": \"%s\",\n"
+                  "  \"units\": %d,\n  \"repeat\": %d,\n"
+                  "  \"minSampleSecs\": %.2f,\n"
+                  "  \"note\": \"seconds per parse (trees and stats off) or "
+                  "per lex: median and [q1, q3] over alternating sample "
+                  "pairs; speedup is the spread of per-pair base/native "
+                  "ratios\",\n  \"grammars\": [\n",
+                  LLSTAR_BUILD_TYPE, gitRevision().c_str(), Units, Repeat,
+                  MinSampleSecs);
+    std::string Out = Buf;
     auto SplitJson = [&](const char *Key, const Split &S) {
-      std::snprintf(Buf, sizeof(Buf),
-                    "     \"%s\": {\"baseSecs\": %.6f, "
-                    "\"nativeSecs\": %.6f, \"baseTokensPerSec\": %.0f, "
-                    "\"nativeTokensPerSec\": %.0f, \"speedup\": %.2f}",
-                    Key, S.BaseSecs, S.NativeSecs, S.BaseTps, S.NativeTps,
-                    S.Speedup);
+      std::snprintf(
+          Buf, sizeof(Buf),
+          "     \"%s\": {\"baseSecs\": %.7f, \"baseSecsIqr\": [%.7f, %.7f], "
+          "\"nativeSecs\": %.7f, \"nativeSecsIqr\": [%.7f, %.7f], "
+          "\"baseTokensPerSec\": %.0f, \"nativeTokensPerSec\": %.0f, "
+          "\"speedup\": %.3f, \"speedupIqr\": [%.3f, %.3f]}",
+          Key, S.BaseSecs.Median, S.BaseSecs.Q1, S.BaseSecs.Q3,
+          S.NativeSecs.Median, S.NativeSecs.Q1, S.NativeSecs.Q3, S.BaseTps,
+          S.NativeTps, S.Speedup.Median, S.Speedup.Q1, S.Speedup.Q3);
       Out += Buf;
     };
     for (size_t G = 0; G < Reports.size(); ++G) {

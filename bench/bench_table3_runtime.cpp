@@ -23,23 +23,6 @@
 using namespace llstar;
 using namespace llstar::bench;
 
-namespace {
-
-/// Workload sizes tuned to produce a few thousand lines per grammar.
-int workloadUnits(const std::string &Name) {
-  if (Name == "Java" || Name == "RatsJava")
-    return 120;
-  if (Name == "RatsC")
-    return 250;
-  if (Name == "Basic")
-    return 900;
-  if (Name == "Sql")
-    return 900;
-  return 100; // CSharp
-}
-
-} // namespace
-
 int main() {
   std::printf("=== Table 3: parser decision lookahead depth ===\n");
   std::printf("%-10s %8s %10s %8s %7s %7s %7s %12s\n", "Grammar", "lines",
@@ -47,7 +30,8 @@ int main() {
 
   for (const BenchGrammar &Spec : benchGrammars()) {
     PreparedGrammar P = PreparedGrammar::prepare(Spec);
-    std::string Input = Spec.Workload(workloadUnits(Spec.Name), 20110604);
+    std::string Input =
+        Spec.Workload(paperWorkloadUnits(Spec.Name), PaperWorkloadSeed);
     int64_t Lines = countLines(Input);
 
     // Lex once; parse three times (median). Times include prediction,

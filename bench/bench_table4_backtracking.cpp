@@ -22,20 +22,6 @@
 using namespace llstar;
 using namespace llstar::bench;
 
-namespace {
-
-int workloadUnits(const std::string &Name) {
-  if (Name == "Java" || Name == "RatsJava")
-    return 120;
-  if (Name == "RatsC")
-    return 250;
-  if (Name == "Basic" || Name == "Sql")
-    return 900;
-  return 100;
-}
-
-} // namespace
-
 int main() {
   std::printf("=== Table 4: parser decision backtracking behavior ===\n");
   std::printf("%-10s %9s %9s %10s %10s %10s\n", "Grammar", "Can back.",
@@ -43,7 +29,8 @@ int main() {
 
   for (const BenchGrammar &Spec : benchGrammars()) {
     PreparedGrammar P = PreparedGrammar::prepare(Spec);
-    std::string Input = Spec.Workload(workloadUnits(Spec.Name), 20110604);
+    std::string Input =
+        Spec.Workload(paperWorkloadUnits(Spec.Name), PaperWorkloadSeed);
     TokenStream Stream = P.tokenize(Input);
     DiagnosticEngine Diags;
     LLStarParser Parser(*P.AG, Stream, &P.Env, Diags);
@@ -54,25 +41,12 @@ int main() {
     }
     const ParserStats &S = Parser.stats();
 
-    int64_t CanBacktrack = 0, DidBacktrack = 0;
-    int64_t EventsAtPbd = 0, BacktrackEventsAtPbd = 0;
-    for (size_t D = 0; D < P.AG->numDecisions(); ++D) {
-      if (P.AG->dfa(int32_t(D)).decisionClass() != DecisionClass::Backtrack)
-        continue;
-      ++CanBacktrack;
-      const DecisionStats &DS = S.Decisions[D];
-      EventsAtPbd += DS.Events;
-      BacktrackEventsAtPbd += DS.BacktrackEvents;
-      if (DS.BacktrackEvents > 0)
-        ++DidBacktrack;
-    }
+    BacktrackCounts B = backtrackCounts(*P.AG, S);
 
     std::printf("%-10s %9lld %9lld %10lld %9.2f%% %9.2f%%\n", Spec.Name,
-                (long long)CanBacktrack, (long long)DidBacktrack,
+                (long long)B.CanBacktrack, (long long)B.DidBacktrack,
                 (long long)S.totalEvents(),
-                100.0 * S.backtrackEventFraction(),
-                EventsAtPbd ? 100.0 * BacktrackEventsAtPbd / EventsAtPbd
-                            : 0.0);
+                100.0 * S.backtrackEventFraction(), B.ratePct());
   }
 
   std::printf("\n--- paper reference ---\n");

@@ -63,3 +63,58 @@ bool PreparedGrammar::runParse(TokenStream &Stream, LLStarParser &P) {
   CurrentStream = nullptr;
   return P.ok();
 }
+
+int llstar::bench::paperWorkloadUnits(const std::string &Name) {
+  if (Name == "Java" || Name == "RatsJava")
+    return 120;
+  if (Name == "RatsC")
+    return 250;
+  if (Name == "Basic" || Name == "Sql")
+    return 900;
+  return 100; // CSharp
+}
+
+BacktrackCounts llstar::bench::backtrackCounts(const AnalyzedGrammar &AG,
+                                               const ParserStats &S) {
+  BacktrackCounts C;
+  for (size_t D = 0; D < AG.numDecisions(); ++D) {
+    if (AG.dfa(int32_t(D)).decisionClass() != DecisionClass::Backtrack)
+      continue;
+    ++C.CanBacktrack;
+    const DecisionStats &DS = S.Decisions[D];
+    C.Events += DS.Events;
+    C.BacktrackEvents += DS.BacktrackEvents;
+    if (DS.BacktrackEvents > 0)
+      ++C.DidBacktrack;
+  }
+  return C;
+}
+
+std::string llstar::bench::paperCountsTable() {
+  std::string Out = "# grammar lines n avgK backK maxK can did events "
+                    "backtrackPct ratePct\n";
+  for (const BenchGrammar &Spec : benchGrammars()) {
+    PreparedGrammar P = PreparedGrammar::prepare(Spec);
+    std::string Input =
+        Spec.Workload(paperWorkloadUnits(Spec.Name), PaperWorkloadSeed);
+    TokenStream Stream = P.tokenize(Input);
+    DiagnosticEngine Diags;
+    LLStarParser Parser(*P.AG, Stream, &P.Env, Diags);
+    if (!P.runParse(Stream, Parser))
+      return std::string("grammar ") + Spec.Name +
+             ": workload failed to parse:\n" + Diags.str();
+    const ParserStats &S = Parser.stats();
+    BacktrackCounts B = backtrackCounts(*P.AG, S);
+    char Line[256];
+    std::snprintf(Line, sizeof(Line),
+                  "%s %lld %lld %.4f %.4f %lld %lld %lld %lld %.4f %.4f\n",
+                  Spec.Name, (long long)countLines(Input),
+                  (long long)S.decisionsCovered(), S.avgLookahead(),
+                  S.avgBacktrackLookahead(), (long long)S.maxLookahead(),
+                  (long long)B.CanBacktrack, (long long)B.DidBacktrack,
+                  (long long)S.totalEvents(),
+                  100.0 * S.backtrackEventFraction(), B.ratePct());
+    Out += Line;
+  }
+  return Out;
+}

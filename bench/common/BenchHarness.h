@@ -54,6 +54,34 @@ struct PreparedGrammar {
 /// Number of newline-terminated lines in \p Text.
 int64_t countLines(const std::string &Text);
 
+/// Seed of the workload paper Tables 3 and 4 parse for each grammar.
+constexpr unsigned PaperWorkloadSeed = 20110604;
+/// Workload units for \p Name: a few thousand lines per grammar.
+int paperWorkloadUnits(const std::string &Name);
+
+/// Table 4's counts over the decisions analysis classed as potentially
+/// backtracking ("can"): how many of them backtracked at least once
+/// ("did"), and their events and backtracking events.
+struct BacktrackCounts {
+  int64_t CanBacktrack = 0;
+  int64_t DidBacktrack = 0;
+  int64_t Events = 0;
+  int64_t BacktrackEvents = 0;
+
+  /// Table 4's "Back rate": backtracking events per event at those
+  /// decisions, in percent.
+  double ratePct() const {
+    return Events ? 100.0 * double(BacktrackEvents) / double(Events) : 0.0;
+  }
+};
+BacktrackCounts backtrackCounts(const AnalyzedGrammar &AG,
+                                const ParserStats &S);
+
+/// The deterministic columns of Tables 3 and 4 (every column but the
+/// timings), one line per bench grammar, from one parse of each grammar's
+/// paper workload. tests/golden/paper_tables.txt pins this text.
+std::string paperCountsTable();
+
 } // namespace bench
 } // namespace llstar
 

@@ -11,12 +11,28 @@
 /// \ref CompiledTables flattens them once, when analysis finishes, into
 /// dense arrays:
 ///
+///   - every rule body becomes a compact op stream (\ref COp, 16 bytes):
+///     MATCH, SET, CALL, PREDICT, PRED and ACTION, with RETURN the jump
+///     target \ref OpReturn rather than an op. Epsilon glue
+///     (block starts and ends, loop plumbing, rule entries, rule-call
+///     resume points, satisfied syntactic-predicate gates) is resolved when
+///     the stream is built, so every op the walker executes does work. An
+///     END sentinel op remains only at the end state of a decision whose
+///     alternatives a syntactic predicate speculates (the walk of one
+///     alternative stops there);
 ///   - per-decision lookahead DFAs become dense `state x token` next-state
-///     tables (one int32 load per lookahead step instead of an edge scan),
+///     tables (one int32 load per lookahead step instead of an edge scan);
+///   - a decision whose DFA start state is not accepting also gets an
+///     LL(1) row when any start-state edge lands on an accepting state:
+///     one byte per token, the alternative that edge predicts (terminal
+///     edges win over predicate edges, so that is the whole prediction),
+///     or 0 to fall back to the DFA walk;
 ///   - Set-transition labels become token-indexed bitsets (one shift+mask
-///     instead of an IntervalSet interval scan),
-///   - the ATN becomes one flat \ref CState record per state with every
-///     transition field inlined (no per-state heap vectors).
+///     instead of an IntervalSet interval scan).
+///
+/// Ops keep the ATN state they were built from (\ref TablesView::OpStates)
+/// so cold paths (mismatch reporting, recovery, predicate failures) can
+/// consult the source ATN and the recovery sets.
 ///
 /// Tokens are indexed as `type + 1`, mapping TokenEof (-1) to row 0 and
 /// user types [1, NumTokens] to [2, NumTokens+1]; the row width is
@@ -26,8 +42,7 @@
 /// AnalyzedGrammar::tables), and the one engine, \ref LLStarParser, walks
 /// them through the non-owning \ref TablesView. A native module generated
 /// by `llstar compile --emit-cpp` (see codegen/CompiledModuleEmitter.h)
-/// folds their state ids and labels into code and runs against the same
-/// view.
+/// folds the op streams into code and runs against the same view.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,38 +60,47 @@ class AnalyzedGrammar;
 
 namespace compiled {
 
-/// One flattened ATN state: the \ref AtnState fields plus its single
-/// non-decision transition (or its decision metadata) inlined.
-struct CState {
-  /// AtnStateKind as int (avoid enum-class header coupling in generated
-  /// data); see atn/ATN.h.
-  int32_t Kind = 0;
-  /// AtnTransitionKind of the single outgoing transition, or -1 for
-  /// decision states and rule-stop states.
-  int32_t TransKind = -1;
-  int32_t RuleIndex = -1;
-  /// Decision number, or -1.
-  int32_t Decision = -1;
-  /// Where a speculated alternative ends (decision states only).
-  int32_t EndState = -1;
-  /// Single-transition target.
-  int32_t Target = -1;
-  /// Atom transitions: the token type to match.
-  int32_t Label = 0;
-  /// Set transitions: word offset of this set's bitset in TablesView::
-  /// SetWords, or -1.
-  int32_t SetIndex = -1;
-  /// Rule transitions: invoked rule / follow state / precedence argument.
-  int32_t CalleeRule = -1;
-  int32_t FollowState = -1;
-  int32_t Precedence = 0;
-  /// SemPred / Action transitions.
-  int32_t PredIndex = -1;
-  int32_t ActionIndex = -1;
-  /// Decision states: offset into TablesView::AltTargets and the number of
-  /// alternatives (loop decisions: the exit alternative is NumAlts).
-  int32_t FirstAltTarget = -1;
-  int32_t NumAlts = 0;
+/// Op codes of the rule-body streams; see \ref COp for the operands.
+/// RETURN is not an op but a jump target: \ref OpReturn.
+enum class OpCode : uint8_t {
+  Match,   ///< consume token A; continue at Next
+  Set,     ///< consume a token in the bitset at word offset A; Next
+  Call,    ///< invoke rule A at precedence aux(), pushing follow state B;
+           ///< resume at Next
+  Predict, ///< decision A, with Next alternatives: continue at
+           ///< AltOps[B + alt - 1]; aux() is 1 for a loop decision, whose
+           ///< exit alternative is the last (Next)
+  Pred,    ///< semantic predicate A must hold; Next
+  Action,  ///< run action A; Next
+  End,     ///< decision end sentinel: a no-op on the way to Next, except
+           ///< as the stop of a speculated alternative
+};
+
+/// The jump target that completes the rule (its stop state): a walk that
+/// reaches it returns without dispatching another op.
+constexpr int32_t OpReturn = -1;
+
+/// One op of a rule-body stream. The low byte of Head is the \ref OpCode,
+/// the upper 24 bits a signed auxiliary operand.
+struct COp {
+  int32_t Head = 0;
+  int32_t A = 0;
+  int32_t B = 0;
+  int32_t Next = -1;
+
+  OpCode code() const { return OpCode(uint8_t(Head)); }
+  int32_t aux() const { return Head >> 8; }
+};
+
+/// Per-rule entry point and flags.
+struct CRule {
+  int32_t EntryOp = OpReturn;
+  /// The rule's ops occupy [FirstOp, EndOp).
+  int32_t FirstOp = 0;
+  int32_t EndOp = 0;
+  /// Precedence-rewritten rule: its invocations push their precedence
+  /// argument for the precedence predicates in its body.
+  int32_t IsPrecedenceRule = 0;
 };
 
 /// One flattened lookahead-DFA predicate edge, mirroring \ref DfaPredEdge
@@ -88,15 +112,25 @@ struct CPredEdge {
   int32_t Alt = -1;
 };
 
-/// Table offsets of one decision's dense lookahead DFA.
+/// Table offsets of one decision.
 struct CDecision {
-  int32_t NumStates = 0;
-  /// Offset into TablesView::DfaTrans; the decision occupies
-  /// NumStates * rowWidth() consecutive entries (state-major).
+  /// Offset into TablesView::DfaTrans; the decision's dense lookahead DFA
+  /// occupies NumStates * rowWidth() consecutive entries (state-major).
   int32_t TransBase = 0;
   /// Offset into the per-state metadata arrays (DfaAccept, DfaPredFirst,
   /// DfaPredCount).
   int32_t MetaBase = 0;
+  /// Offset of the decision's LL(1) row in TablesView::LL1Rows, or -1.
+  int32_t LL1Row = -1;
+  /// The decision's alternative jump table in TablesView::AltOps (the
+  /// Predict op's B).
+  int32_t AltBase = 0;
+  int32_t NumStates = 0;
+  /// The decision's Predict op.
+  int32_t PredictOp = -1;
+  /// The End op where a speculated alternative of this decision stops, or
+  /// OpReturn when it stops at the rule's end or nothing speculates it.
+  int32_t EndOp = OpReturn;
 };
 
 /// Non-owning view over a complete table set. The engine and the generated
@@ -104,17 +138,21 @@ struct CDecision {
 struct TablesView {
   /// Largest token type of the vocabulary; token row width is NumTokens+2.
   int32_t NumTokens = 0;
-  int32_t NumStates = 0;
+  int32_t NumOps = 0;
   int32_t NumRules = 0;
   int32_t NumDecisions = 0;
+  /// Entries of AltOps: one per alternative of every decision.
+  int32_t NumAltOps = 0;
   /// Words per Set-transition bitset: (rowWidth() + 63) / 64.
   int32_t SetWordsPerSet = 0;
 
-  const CState *States = nullptr;
-  const int32_t *RuleStarts = nullptr; ///< per rule: start state
-  const int32_t *RuleStops = nullptr;  ///< per rule: stop state
-  /// Pool of decision-alternative targets (see CState::FirstAltTarget).
-  const int32_t *AltTargets = nullptr;
+  /// Rule-body op streams, one contiguous range per rule.
+  const COp *Ops = nullptr;
+  /// Per op: the ATN state it was built from (cold paths only).
+  const int32_t *OpStates = nullptr;
+  const CRule *Rules = nullptr;
+  /// Pool of Predict jump targets (op indices; see COp::B).
+  const int32_t *AltOps = nullptr;
   /// Per decision: ATN decision-state id.
   const int32_t *DecisionStates = nullptr;
   const CDecision *Decisions = nullptr;
@@ -126,7 +164,9 @@ struct TablesView {
   const int32_t *DfaPredFirst = nullptr;
   const int32_t *DfaPredCount = nullptr;
   const CPredEdge *PredEdges = nullptr;
-  /// Bitset pool for Set transitions, indexed by CState::SetIndex.
+  /// LL(1) rows: token column -> predicted alternative, 0 for none.
+  const uint8_t *LL1Rows = nullptr;
+  /// Bitset pool for Set ops, indexed by COp::A.
   const uint64_t *SetWords = nullptr;
 
   int32_t rowWidth() const { return NumTokens + 2; }
@@ -138,7 +178,7 @@ struct TablesView {
     return I >= 0 && I < rowWidth() ? I : 1;
   }
 
-  /// Membership test for the Set-transition bitset at \p SetIndex.
+  /// Membership test for the Set bitset at word offset \p SetIndex.
   bool setContains(int32_t SetIndex, TokenType T) const {
     uint32_t I = uint32_t(tokenIndex(T));
     return (SetWords[size_t(SetIndex) + (I >> 6)] >> (I & 63)) & 1;
@@ -149,6 +189,13 @@ struct TablesView {
     return DfaTrans[size_t(D.TransBase) +
                     size_t(DfaState) * size_t(rowWidth()) +
                     size_t(tokenIndex(T))];
+  }
+
+  /// The LL(1) prediction of \p D on \p T, or 0 when \p D has no row or
+  /// the row has no entry for \p T.
+  int32_t ll1Alt(const CDecision &D, TokenType T) const {
+    return D.LL1Row < 0 ? 0
+                        : LL1Rows[size_t(D.LL1Row) + size_t(tokenIndex(T))];
   }
 };
 
@@ -164,10 +211,11 @@ public:
   const TablesView &view() const { return View; }
 
   /// Pool sizes the view does not carry (for comparing two table sets).
-  size_t numAltTargets() const { return AltTargets.size(); }
+  size_t numAltOps() const { return AltOps.size(); }
   size_t numDfaTransEntries() const { return DfaTrans.size(); }
   size_t numDfaStatesTotal() const { return DfaAccept.size(); }
   size_t numPredEdges() const { return PredEdges.size(); }
+  size_t numLL1Bytes() const { return LL1Rows.size(); }
   size_t numSetWords() const { return SetWords.size(); }
 
   CompiledTables(CompiledTables &&O) noexcept { moveFrom(std::move(O)); }
@@ -183,13 +231,15 @@ private:
   void moveFrom(CompiledTables &&O);
   void refreshView();
 
-  std::vector<CState> States;
-  std::vector<int32_t> RuleStarts, RuleStops;
-  std::vector<int32_t> AltTargets;
+  std::vector<COp> Ops;
+  std::vector<int32_t> OpStates;
+  std::vector<CRule> Rules;
+  std::vector<int32_t> AltOps;
   std::vector<int32_t> DecisionStates;
   std::vector<CDecision> Decisions;
   std::vector<int32_t> DfaTrans, DfaAccept, DfaPredFirst, DfaPredCount;
   std::vector<CPredEdge> PredEdges;
+  std::vector<uint8_t> LL1Rows;
   std::vector<uint64_t> SetWords;
   TablesView View;
 };

@@ -7,6 +7,7 @@
 #include "lexer/Lexer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cctype>
 #include <map>
 #include <sstream>
@@ -139,176 +140,187 @@ void emitNativePredictor(std::ostream &OS, const LookaheadDfa &Dfa,
   OS << "}\n\n";
 }
 
-/// Emits the goto-threaded body for rule \p R over the fused tables \p V:
-/// the same state walk LLStarParser::runStates performs, with every state
-/// id, jump target, token label, and callee folded to a constant, and every
+/// Emits the goto-threaded body for rule \p R from its op stream in \p V:
+/// the same walk LLStarParser::runOps performs, with every op index, jump
+/// target, token label, and callee folded to a constant, and every
 /// observable effect routed through the engine's generated-code interface
 /// (consumeMatched, coldMismatch, predictAtState, callRule, ...) so the
-/// body cannot diverge from the table walk.
+/// body cannot diverge from the table walk. Cold calls name the op's ATN
+/// state, as the walker's do. End sentinels only matter to speculation,
+/// which always runs the op stream, so jumps pass straight through them.
 void emitNativeRule(std::ostream &OS, const TablesView &V, int32_t R,
                     std::string_view RuleName,
                     const std::vector<bool> &HasNative) {
-  int32_t Start = V.RuleStarts[R];
-  int32_t Stop = V.RuleStops[R];
-
-  // Reachable states of the rule submachine in BFS order. Walking the
-  // fused tables means bypassed epsilon glue is never even emitted.
-  std::vector<int32_t> Order;
-  std::vector<bool> Seen(size_t(V.NumStates), false);
-  std::vector<bool> Referenced(size_t(V.NumStates), false);
-  auto Successors = [&](int32_t K, std::vector<int32_t> &Out) {
-    const CState &S = V.States[size_t(K)];
-    if (S.Decision >= 0) {
-      for (int32_t A = 0; A < S.NumAlts; ++A)
-        Out.push_back(V.AltTargets[size_t(S.FirstAltTarget) + size_t(A)]);
-      return;
-    }
-    if (S.TransKind < 0)
-      return;
-    Out.push_back(S.TransKind == int32_t(AtnTransitionKind::Rule)
-                      ? S.FollowState
-                      : S.Target);
+  const CRule &CR = V.Rules[R];
+  auto Skip = [&](int32_t K) {
+    for (int32_t Steps = 0; K != OpReturn &&
+                            V.Ops[size_t(K)].code() == OpCode::End &&
+                            Steps < V.NumOps;
+         ++Steps)
+      K = V.Ops[size_t(K)].Next;
+    return K;
   };
-  if (Start != Stop) {
-    Order.push_back(Start);
-    Seen[size_t(Start)] = true;
-    std::vector<int32_t> Succ;
-    for (size_t Q = 0; Q < Order.size(); ++Q) {
-      Succ.clear();
-      Successors(Order[Q], Succ);
-      for (int32_t T : Succ) {
+
+  // Ops reachable from the entry, in stream order; only jump targets get
+  // labels (an unreferenced label would warn). The entry leads, reached by
+  // fallthrough unless something jumps back to it.
+  int32_t Entry = Skip(CR.EntryOp);
+  std::vector<bool> Live(size_t(V.NumOps), false);
+  std::vector<bool> Referenced(size_t(V.NumOps), false);
+  std::vector<int32_t> Work;
+  auto Reach = [&](int32_t T) {
+    if (T == OpReturn || Live[size_t(T)])
+      return;
+    Live[size_t(T)] = true;
+    Work.push_back(T);
+  };
+  Reach(Entry);
+  while (!Work.empty()) {
+    const COp &O = V.Ops[size_t(Work.back())];
+    Work.pop_back();
+    auto Target = [&](int32_t T) {
+      T = Skip(T);
+      if (T != OpReturn)
         Referenced[size_t(T)] = true;
-        if (T != Stop && !Seen[size_t(T)]) {
-          Seen[size_t(T)] = true;
-          Order.push_back(T);
-        }
-      }
+      Reach(T);
+    };
+    if (O.code() == OpCode::Predict) {
+      for (int32_t A = 0; A < O.Next; ++A)
+        Target(V.AltOps[size_t(O.B) + size_t(A)]);
+    } else {
+      Target(O.Next);
     }
   }
+  std::vector<int32_t> Order;
+  if (Entry != OpReturn) {
+    assert(Entry >= CR.FirstOp && Entry < CR.EndOp &&
+           "a rule's ops stay in its range");
+    Order.push_back(Entry);
+  }
+  for (int32_t K = CR.FirstOp; K < CR.EndOp; ++K)
+    if (Live[size_t(K)] && K != Entry)
+      Order.push_back(K);
 
-  auto IsLoop = [&](const CState &S) {
-    return S.Kind == int32_t(AtnStateKind::StarLoopEntry) ||
-           S.Kind == int32_t(AtnStateKind::PlusLoopBack);
-  };
-  // Rule stop: return true. Anything else: jump to its label.
+  // Jumps to OpReturn return true.
   auto Jump = [&](int32_t T, const char *Indent) {
+    T = Skip(T);
     std::ostringstream J;
-    if (T == Stop)
+    if (T == OpReturn)
       J << Indent << "return true;\n";
     else
-      J << Indent << "goto s" << T << ";\n";
+      J << Indent << "goto o" << T << ";\n";
     return J.str();
   };
 
   OS << "bool Rule" << R << "(LLStarParser &P, NodeRef Parent) { // "
      << RuleName << "\n"
      << "  (void)P;\n  (void)Parent;\n";
-  // Epsilon-loop watermarks (one per loop decision; see runStates). Locals
+  // Epsilon-loop watermarks (one per loop decision; see runOps). Locals
   // live at function scope, declared before the first label so no goto
   // crosses an initialization.
   for (int32_t K : Order)
-    if (V.States[size_t(K)].Decision >= 0 && IsLoop(V.States[size_t(K)]))
+    if (V.Ops[size_t(K)].code() == OpCode::Predict && V.Ops[size_t(K)].aux())
       OS << "  int64_t lm" << K << " = -1;\n";
 
   for (int32_t K : Order) {
-    const CState &S = V.States[size_t(K)];
+    const COp &O = V.Ops[size_t(K)];
+    int32_t State = V.OpStates[size_t(K)];
     if (Referenced[size_t(K)])
-      OS << "s" << K << ":\n";
+      OS << "o" << K << ":\n";
 
-    if (S.Decision >= 0) {
+    switch (O.code()) {
+    case OpCode::Predict: {
+      int32_t D = O.A, NumAlts = O.Next;
       OS << "  {\n"
          << "    if (!P.deadlineOk())\n      return false;\n"
          << "    int32_t Alt;\n";
-      if (HasNative[size_t(S.Decision)]) {
+      if (HasNative[size_t(D)]) {
         // Same-TU predictor call: inlinable, and with fastPredict() true
         // it is observably identical to the engine path on success. Dead
         // predictions re-run through the engine for reporting + recovery.
         OS << "    if (P.fastPredict()) {\n"
            << "      const std::vector<Token> &Toks = P.stream().tokens();\n"
            << "      int64_t Depth = 0;\n"
-           << "      Alt = Predict" << S.Decision
+           << "      Alt = Predict" << D
            << "(Toks.data(), int64_t(Toks.size()),\n"
            << "                     P.stream().index(), Depth);\n"
            << "      if (Alt < 0)\n"
-           << "        Alt = P.predictAtState(" << S.Decision << ", " << K
+           << "        Alt = P.predictAtState(" << D << ", " << State
            << ", Parent);\n"
            << "    } else {\n"
-           << "      Alt = P.predictAtState(" << S.Decision << ", " << K
+           << "      Alt = P.predictAtState(" << D << ", " << State
            << ", Parent);\n"
            << "    }\n";
       } else {
-        OS << "    Alt = P.predictAtState(" << S.Decision << ", " << K
+        OS << "    Alt = P.predictAtState(" << D << ", " << State
            << ", Parent);\n";
       }
       OS << "    if (Alt < 0)\n      return false;\n";
-      if (IsLoop(S)) {
-        OS << "    if (Alt != " << S.NumAlts << ") {\n"
+      if (O.aux()) {
+        OS << "    if (Alt != " << NumAlts << ") {\n"
            << "      if (lm" << K << " < 0)\n"
            << "        lm" << K << " = P.stream().index();\n"
            << "      else if (lm" << K << " == P.stream().index())\n"
-           << "        Alt = " << S.NumAlts << "; // no progress: exit\n"
+           << "        Alt = " << NumAlts << "; // no progress: exit\n"
            << "      else\n"
            << "        lm" << K << " = P.stream().index();\n"
            << "    }\n";
       }
       OS << "    switch (Alt) {\n";
-      for (int32_t A = 1; A <= S.NumAlts; ++A) {
-        int32_t T = V.AltTargets[size_t(S.FirstAltTarget) + size_t(A) - 1];
-        OS << "    case " << A << ":\n" << Jump(T, "      ");
-      }
+      for (int32_t A = 1; A <= NumAlts; ++A)
+        OS << "    case " << A << ":\n"
+           << Jump(V.AltOps[size_t(O.B) + size_t(A) - 1], "      ");
       OS << "    }\n"
          << "    return false;\n"
          << "  }\n";
-      continue;
-    }
-
-    switch (AtnTransitionKind(S.TransKind)) {
-    case AtnTransitionKind::Epsilon:
-    case AtnTransitionKind::SynPred:
-      OS << "  if (!P.deadlineOk())\n    return false;\n"
-         << Jump(S.Target, "  ");
       break;
-    case AtnTransitionKind::Atom:
-    case AtnTransitionKind::Set: {
-      bool IsAtom = S.TransKind == int32_t(AtnTransitionKind::Atom);
+    }
+    case OpCode::Match:
+    case OpCode::Set: {
       OS << "  {\n"
          << "    if (!P.deadlineOk())\n      return false;\n";
-      if (IsAtom) {
-        OS << "    if (P.stream().LA(1) != " << S.Label << ") {\n";
+      if (O.code() == OpCode::Match) {
+        OS << "    if (P.stream().LA(1) != " << O.A << ") {\n";
       } else {
         OS << "    int32_t La = P.stream().LA(1);\n"
-           << "    if (La == TokenEof || !P.tables().setContains("
-           << S.SetIndex << ", La)) {\n";
+           << "    if (La == TokenEof || !P.tables().setContains(" << O.A
+           << ", La)) {\n";
       }
-      OS << "      LLStarParser::ColdMatch M = P.coldMismatch(" << K
+      OS << "      LLStarParser::ColdMatch M = P.coldMismatch(" << State
          << ", Parent);\n"
          << "      if (M == LLStarParser::ColdMatch::Unwind)\n"
          << "        return false;\n"
          << "      if (M == LLStarParser::ColdMatch::Inserted)\n"
-         << Jump(S.Target, "        ") << "    }\n"
+         << Jump(O.Next, "        ") << "    }\n"
          << "    P.consumeMatched(Parent);\n"
-         << Jump(S.Target, "    ") << "  }\n";
+         << Jump(O.Next, "    ") << "  }\n";
       break;
     }
-    case AtnTransitionKind::Rule:
+    case OpCode::Call:
       OS << "  if (!P.deadlineOk())\n    return false;\n"
-         << "  if (!P.callRule(" << S.CalleeRule << ", " << S.Precedence
-         << ", " << S.FollowState << ", Parent))\n    return false;\n"
-         << Jump(S.FollowState, "  ");
+         << "  if (!P.callRule(" << O.A << ", " << O.aux() << ", " << O.B
+         << ", Parent))\n    return false;\n"
+         << Jump(O.Next, "  ");
       break;
-    case AtnTransitionKind::SemPred:
+    case OpCode::Pred:
       OS << "  if (!P.deadlineOk())\n    return false;\n"
-         << "  if (!P.checkPredicateAt(" << K << "))\n    return false;\n"
-         << Jump(S.Target, "  ");
+         << "  if (!P.checkPredicateAt(" << State << "))\n    return false;\n"
+         << Jump(O.Next, "  ");
       break;
-    case AtnTransitionKind::Action:
+    case OpCode::Action:
       OS << "  if (!P.deadlineOk())\n    return false;\n"
-         << "  P.runAction(" << S.ActionIndex << ");\n"
-         << Jump(S.Target, "  ");
+         << "  P.runAction(" << O.A << ");\n"
+         << Jump(O.Next, "  ");
+      break;
+    case OpCode::End:
+      // Skip() resolves every End but the one closing a glue cycle, which
+      // spins as the walker does.
+      OS << "  if (!P.deadlineOk())\n    return false;\n"
+         << "  goto o" << K << ";\n";
       break;
     }
   }
-  if (Start == Stop)
+  if (Entry == OpReturn)
     OS << "  return true;\n";
   OS << "}\n\n";
 }

@@ -6,6 +6,7 @@
 
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <set>
 
@@ -217,14 +218,14 @@ private:
                              Val + "'");
     };
     auto AsInt = [&](int32_t &Out) {
-      size_t Used = 0;
-      int Parsed = 0;
-      bool Ok = !Val.empty();
-      if (Ok) {
-        Parsed = std::stoi(Val, &Used);
-        Ok = Used == Val.size();
-      }
-      if (Ok && Parsed > 0)
+      // from_chars never throws: anything but a whole in-range decimal
+      // (optionally signed '+') is rejected with a diagnostic.
+      int32_t Parsed = 0;
+      const char *Begin = Val.data(), *End = Val.data() + Val.size();
+      if (Begin != End && *Begin == '+')
+        ++Begin;
+      auto [Ptr, Ec] = std::from_chars(Begin, End, Parsed);
+      if (Ec == std::errc() && Ptr == End && Parsed > 0)
         Out = Parsed;
       else
         Diags.error(Loc, "option '" + Key + "' expects a positive integer");

@@ -63,7 +63,11 @@ public:
   }
 
   /// Token \p I ahead of the current position; LT(1) is the next token.
-  const Token &LT(int64_t I) const { return at(Pos + I - 1); }
+  /// The position always names a token (consume stops at EOF, seek stays
+  /// in range), so LT(1) needs no clamp.
+  const Token &LT(int64_t I) const {
+    return I == 1 ? (*Toks)[size_t(Pos)] : at(Pos + I - 1);
+  }
 
   /// Type of the token \p I ahead.
   TokenType LA(int64_t I) const { return LT(I).Type; }
@@ -79,7 +83,7 @@ public:
 
   /// Consumes one token (never moves past EOF).
   void consume() {
-    if (size_t(Pos) + 1 < Toks->size())
+    if (Toks->data() + Pos + 1 < Toks->data() + Toks->size())
       ++Pos;
   }
 

@@ -40,9 +40,11 @@ LLStarParser::LLStarParser(const AnalyzedGrammar &AG, const TablesView &Tables,
                            const NativeRuleFn *NativeRules)
     : AG(AG), CT(Tables), Stream(Stream), Env(Env), Diags(Diags), Opts(Opts),
       Native(Native), NativeRules(NativeRules) {
-  assert(CT.States == AG.tables().view().States &&
+  assert(CT.Ops == AG.tables().view().Ops &&
          "LLStarParser walks its grammar's own tables");
   Stats.ensure(size_t(CT.NumDecisions));
+  if (this->Opts.CollectStats)
+    LL1Events.assign(size_t(CT.NumAltOps), 0);
   NoDeadline =
       this->Opts.Deadline == std::chrono::steady_clock::time_point::max();
   // Reuse hooks observe every prediction event, so generated bodies must
@@ -88,7 +90,23 @@ std::unique_ptr<ParseTree> LLStarParser::parse(const std::string &RuleName) {
     Ok = true;
   }
   LastParseOk = Ok && Diags.errorCount() == ErrorsBefore;
+  flushLL1Events();
   return HeapRoot;
+}
+
+void LLStarParser::flushLL1Events() {
+  if (!Opts.CollectStats)
+    return;
+  for (int32_t D = 0; D < CT.NumDecisions; ++D) {
+    const CDecision &CD = CT.Decisions[D];
+    int32_t NumAlts = CT.Ops[CD.PredictOp].Next;
+    for (int32_t Alt = 1; Alt <= NumAlts; ++Alt) {
+      int64_t &N = LL1Events[size_t(CD.AltBase) + size_t(Alt) - 1];
+      if (N > 0)
+        Stats.Decisions[size_t(D)].record(1, /*Backtracked=*/false, Alt, N);
+      N = 0;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -97,22 +115,19 @@ std::unique_ptr<ParseTree> LLStarParser::parse(const std::string &RuleName) {
 
 bool LLStarParser::runRule(int32_t RuleIndex, int32_t Precedence,
                            NodeRef Parent) {
-  const Rule &R = AG.grammar().rule(RuleIndex);
-
   // Memoize speculative whole-rule parses (packrat memoization; only while
   // speculating, per paper Section 6.2).
   uint64_t Key = 0;
   bool UseMemo = speculating() && Opts.Memoize;
   if (UseMemo) {
     Key = memoKey(RuleIndex, Precedence, Stream.index());
-    auto It = Memo.find(Key);
-    if (It != Memo.end()) {
+    if (const int64_t *Stop = Memo.find(Key)) {
       ++Stats.MemoHits;
-      if (It->second < 0)
+      if (*Stop < 0)
         return false;
-      Stream.seek(It->second);
-      if (SpecMaxIndex < It->second)
-        SpecMaxIndex = It->second;
+      Stream.seek(*Stop);
+      if (SpecMaxIndex < *Stop)
+        SpecMaxIndex = *Stop;
       return true;
     }
     ++Stats.MemoMisses;
@@ -142,30 +157,18 @@ bool LLStarParser::runRule(int32_t RuleIndex, int32_t Precedence,
   if (Hooked)
     Opts.Hooks->enterRule(RuleIndex, Precedence, Stream.index());
 
-  if (R.IsPrecedenceRule)
-    PrecStack.push_back(Precedence);
-  bool Ok = runBody(RuleIndex, Node);
-  if (R.IsPrecedenceRule)
-    PrecStack.pop_back();
-
-  if (!Ok && canRecover()) {
-    // Sync-and-return: pretend the rule completed, resynchronizing the
-    // input to a token some caller can match. The error was already
-    // reported; the skipped region survives as error leaves under Node.
-    syncAfterRuleFailure(Node);
-    Ok = true;
-  }
+  bool Ok = runRuleBody(RuleIndex, Precedence, Node);
 
   if (Hooked)
     Opts.Hooks->exitRule(RuleIndex, Stream.index(), Node.Heap, Node.InArena);
 
   if (UseMemo)
-    Memo[Key] = Ok ? Stream.index() : -1;
+    Memo.set(Key, Ok ? Stream.index() : -1);
   return Ok;
 }
 
-bool LLStarParser::runStates(int32_t From, int32_t Until, NodeRef Parent) {
-  int32_t P = From;
+bool LLStarParser::runOps(int32_t From, int32_t Until, NodeRef Parent) {
+  int32_t Pc = From;
   // Guards against loop decisions that iterate without consuming input
   // (an epsilon-matching loop body). A rule body holds at most a few loop
   // decisions, so a linear-scan array stands in for a hash map.
@@ -173,87 +176,93 @@ bool LLStarParser::runStates(int32_t From, int32_t Until, NodeRef Parent) {
   size_t NumMarks = 0;
   std::vector<LoopMark> MarksSpill;
 
-  const CState *States = CT.States;
-  while (P != Until) {
+  const COp *Ops = CT.Ops;
+  while (Pc != OpReturn) {
     if (!deadlineOk())
       return false;
-    const CState &S = States[P];
-
-    if (S.Decision >= 0) {
-      int32_t Alt = predictAtState(S.Decision, P, Parent);
-      if (Alt < 0)
-        return false;
-      bool IsLoop = S.Kind == int32_t(AtnStateKind::StarLoopEntry) ||
-                    S.Kind == int32_t(AtnStateKind::PlusLoopBack);
-      if (IsLoop) {
-        int32_t ExitAlt = S.NumAlts;
-        if (Alt != ExitAlt) {
-          LoopMark *Found = nullptr;
-          for (size_t I = 0; I < NumMarks && I < 4; ++I)
-            if (MarksInline[I].State == P)
-              Found = &MarksInline[I];
-          if (!Found)
-            for (LoopMark &LM : MarksSpill)
-              if (LM.State == P)
-                Found = &LM;
-          if (!Found) {
-            if (NumMarks < 4)
-              MarksInline[NumMarks] = {P, Stream.index()};
-            else
-              MarksSpill.push_back({P, Stream.index()});
-            ++NumMarks;
-          } else if (Found->Index == Stream.index()) {
-            Alt = ExitAlt; // no progress since last iteration: exit
-          } else {
-            Found->Index = Stream.index();
-          }
-        }
-      }
-      P = CT.AltTargets[size_t(S.FirstAltTarget) + size_t(Alt) - 1];
-      continue;
-    }
-
-    switch (AtnTransitionKind(S.TransKind)) {
-    case AtnTransitionKind::Epsilon:
-    case AtnTransitionKind::SynPred:
-      // Syntactic predicates were consulted during prediction; once an
-      // alternative is chosen the gate is a no-op.
-      P = S.Target;
-      break;
-    case AtnTransitionKind::Set:
-    case AtnTransitionKind::Atom: {
+    const COp &O = Ops[Pc];
+    switch (O.code()) {
+    case OpCode::Match:
+    case OpCode::Set: {
       TokenType La = Stream.LA(1);
-      bool IsAtom = S.TransKind == int32_t(AtnTransitionKind::Atom);
-      bool Matches = IsAtom ? La == S.Label
-                            : (La != TokenEof && CT.setContains(S.SetIndex, La));
+      bool Matches = O.code() == OpCode::Match
+                         ? La == O.A
+                         : La != TokenEof && CT.setContains(O.A, La);
       if (!Matches) {
-        ColdMatch Act = coldMismatch(P, Parent);
+        ColdMatch Act = coldMismatch(CT.OpStates[Pc], Parent);
         if (Act == ColdMatch::Unwind)
           return false; // unwind to the rule-level sync
         if (Act == ColdMatch::Inserted) {
-          P = S.Target;
+          Pc = O.Next;
           break;
         }
         // DeleteToken dropped the spurious token; fall through to match
         // the one now at the front.
       }
       consumeMatched(Parent);
-      P = S.Target;
+      Pc = O.Next;
       break;
     }
-    case AtnTransitionKind::Rule:
-      if (!callRule(S.CalleeRule, S.Precedence, S.FollowState, Parent))
+    case OpCode::Call: {
+      // callRule, with runRule's common case (no memo, no reuse hooks)
+      // inline.
+      FollowStack.push_back(O.B);
+      bool Ok;
+      if (!speculating() && !Opts.Hooks)
+        Ok = runRuleBody(O.A, O.aux(),
+                         Parent ? addRuleChild(Parent, O.A) : NodeRef());
+      else
+        Ok = runRule(O.A, O.aux(), Parent);
+      FollowStack.pop_back();
+      if (!Ok)
         return false;
-      P = S.FollowState;
+      Pc = O.Next;
       break;
-    case AtnTransitionKind::SemPred:
-      if (!checkPredicateAt(P))
+    }
+    case OpCode::Predict: {
+      int32_t Alt = adaptivePredict(O.A);
+      if (Alt < 0) {
+        Alt = repredictAfterRecovery(O.A, CT.OpStates[Pc], Parent);
+        if (Alt < 0)
+          return false;
+      }
+      if (O.aux() /* loop decision */ && Alt != O.Next) {
+        LoopMark *Found = nullptr;
+        for (size_t I = 0; I < NumMarks && I < 4; ++I)
+          if (MarksInline[I].Op == Pc)
+            Found = &MarksInline[I];
+        if (!Found)
+          for (LoopMark &LM : MarksSpill)
+            if (LM.Op == Pc)
+              Found = &LM;
+        if (!Found) {
+          if (NumMarks < 4)
+            MarksInline[NumMarks] = {Pc, Stream.index()};
+          else
+            MarksSpill.push_back({Pc, Stream.index()});
+          ++NumMarks;
+        } else if (Found->Index == Stream.index()) {
+          Alt = O.Next; // no progress since last iteration: exit
+        } else {
+          Found->Index = Stream.index();
+        }
+      }
+      Pc = CT.AltOps[size_t(O.B) + size_t(Alt) - 1];
+      break;
+    }
+    case OpCode::Pred:
+      if (!checkPredicateAt(CT.OpStates[Pc]))
         return false;
-      P = S.Target;
+      Pc = O.Next;
       break;
-    case AtnTransitionKind::Action:
-      runAction(S.ActionIndex);
-      P = S.Target;
+    case OpCode::Action:
+      runAction(O.A);
+      Pc = O.Next;
+      break;
+    case OpCode::End:
+      if (Pc == Until)
+        return true;
+      Pc = O.Next;
       break;
     }
   }
@@ -264,18 +273,17 @@ LLStarParser::ColdMatch LLStarParser::coldMismatch(int32_t StateId,
                                                    NodeRef Parent) {
   if (speculating() || DeadlineHit)
     return ColdMatch::Unwind;
-  const CState &S = CT.States[StateId];
-  bool IsAtom = S.TransKind == int32_t(AtnTransitionKind::Atom);
-  reportMismatch(IsAtom ? S.Label : TokenInvalid);
+  // The flat tables carry neither the expected set as an IntervalSet nor
+  // the unfused target — read both back from the source ATN. (The recovery
+  // sets of a state and of the end of its epsilon chain are equal.)
+  const AtnTransition &Tr = AG.atn().state(StateId).Transitions[0];
+  bool IsAtom = Tr.Kind == AtnTransitionKind::Atom;
+  reportMismatch(IsAtom ? Tr.Label : TokenInvalid);
   if (!canRecover())
     return ColdMatch::Unwind;
-  // The repair strategy wants the expected set as an IntervalSet, which
-  // the flat tables do not carry — read it back from the source ATN.
-  IntervalSet Expected = IsAtom
-                             ? IntervalSet::of(S.Label)
-                             : AG.atn().state(StateId).Transitions[0].Labels;
+  IntervalSet Expected = IsAtom ? IntervalSet::of(Tr.Label) : Tr.Labels;
   RepairContext Ctx{Stream.LA(1), Stream.LA(2), Expected,
-                    viableAfter(S.Target), InsertionsSinceConsume};
+                    viableAfter(Tr.Target), InsertionsSinceConsume};
   RepairAction Act = strategy().onMismatch(Ctx);
   if (Act == RepairAction::DeleteToken) {
     // The next token matches: the current one is spurious.
@@ -289,7 +297,7 @@ LLStarParser::ColdMatch LLStarParser::coldMismatch(int32_t StateId,
   if (Act == RepairAction::InsertToken) {
     // Conjure the expected token: the parse continues as if it were
     // present, leaving a zero-width Missing error leaf.
-    TokenType Conjured = IsAtom ? S.Label : firstUserToken(Expected);
+    TokenType Conjured = IsAtom ? Tr.Label : firstUserToken(Expected);
     Diags.note(Stream.LT(1).Loc,
                "inserted missing " +
                    AG.grammar().vocabulary().name(Conjured) + " to recover");
@@ -301,49 +309,28 @@ LLStarParser::ColdMatch LLStarParser::coldMismatch(int32_t StateId,
   return ColdMatch::Unwind;
 }
 
-int32_t LLStarParser::predictAtState(int32_t Decision, int32_t StateId,
-                                     NodeRef Parent) {
-  int32_t Alt = adaptivePredict(Decision);
-  if (Alt < 0) {
-    // Panic recovery: drop tokens nobody can accept, then retry the
-    // prediction once if the resync token is matchable right here.
-    // A second failure unwinds to the rule-level sync in runRule.
-    if (!canRecover() || !recoverAtDecision(StateId, Parent))
-      return -1;
-    Alt = adaptivePredict(Decision);
-  }
-  return Alt;
+int32_t LLStarParser::repredictAfterRecovery(int32_t Decision,
+                                             int32_t StateId, NodeRef Parent) {
+  // Panic recovery: drop tokens nobody can accept, then retry the
+  // prediction once if the resync token is matchable right here.
+  // A second failure unwinds to the rule-level sync in runRule.
+  if (!canRecover() || !recoverAtDecision(StateId, Parent))
+    return -1;
+  return adaptivePredict(Decision);
 }
 
 bool LLStarParser::checkPredicateAt(int32_t StateId) {
-  const CState &S = CT.States[StateId];
-  if (evalNamedPredicate(S.PredIndex))
+  const AtnState &S = AG.atn().state(StateId);
+  int32_t PredIndex = S.Transitions[0].PredIndex;
+  if (evalNamedPredicate(PredIndex))
     return true;
   if (!speculating()) {
-    const AtnPredicate &Pred = AG.atn().predicate(S.PredIndex);
+    const AtnPredicate &Pred = AG.atn().predicate(PredIndex);
     Diags.error(Stream.LT(1).Loc,
                 "rule " + AG.grammar().rule(S.RuleIndex).Name +
                     " failed predicate {" + Pred.Name + "}?");
   }
   return false;
-}
-
-NodeRef LLStarParser::addRuleChild(NodeRef Parent, int32_t RuleIndex) {
-  NodeRef Node;
-  if (Parent.Heap)
-    Node.Heap = Parent.Heap->addChild(ParseTree::ruleNode(RuleIndex));
-  else if (Parent.InArena)
-    Node.InArena = Parent.InArena->addChild(
-        ArenaParseTree::ruleNode(*Opts.TreeArena, RuleIndex));
-  return Node;
-}
-
-void LLStarParser::addTokenChild(NodeRef Parent) {
-  if (Parent.Heap)
-    Parent.Heap->addChild(ParseTree::tokenNode(Stream.LT(1)));
-  else if (Parent.InArena)
-    Parent.InArena->addChild(
-        ArenaParseTree::tokenNode(*Opts.TreeArena, Stream.index()));
 }
 
 void LLStarParser::addErrorTokenChild(NodeRef Parent) {
@@ -409,7 +396,7 @@ bool LLStarParser::deadlineOkSteps(int64_t Steps) {
 // Prediction
 //===----------------------------------------------------------------------===//
 
-int32_t LLStarParser::adaptivePredict(int32_t Decision) {
+int32_t LLStarParser::predictSlow(int32_t Decision) {
   if (Native && Native[Decision]) {
     // Generated switch predictor: only emitted for predicate-free DFAs, so
     // the walk is deterministic and never speculates.
@@ -544,13 +531,13 @@ bool LLStarParser::evalSynPredRule(int32_t FragmentRule) {
 
 bool LLStarParser::evalSynPredAlt(int32_t Decision, int32_t Alt) {
   ++Stats.SynPredEvals;
-  const CState &S = CT.States[CT.DecisionStates[Decision]];
-  assert(Alt >= 1 && Alt <= S.NumAlts && "alternative out of range");
-  assert(S.EndState >= 0 && "decision has no end state");
+  const CDecision &D = CT.Decisions[Decision];
+  const COp &Predict = CT.Ops[D.PredictOp];
+  assert(Alt >= 1 && Alt <= Predict.Next && "alternative out of range");
   int64_t Mark = Stream.index();
   ++SpecDepth;
-  bool Ok = runStates(CT.AltTargets[size_t(S.FirstAltTarget) + size_t(Alt) - 1],
-                      S.EndState, NodeRef());
+  bool Ok = runOps(CT.AltOps[size_t(Predict.B) + size_t(Alt) - 1], D.EndOp,
+                   NodeRef());
   --SpecDepth;
   Stream.seek(Mark);
   return Ok;
@@ -600,7 +587,7 @@ void LLStarParser::reportNoViableAlt(int32_t Decision, int64_t DepthReached) {
   // Report at the token that killed the DFA walk, not at the decision start
   // (paper Section 4.4).
   const Token &T = Stream.LT(DepthReached + 1);
-  const CState &S = CT.States[CT.DecisionStates[Decision]];
+  const AtnState &S = AG.atn().state(CT.DecisionStates[Decision]);
   std::string RuleName =
       S.RuleIndex >= 0 ? AG.grammar().rule(S.RuleIndex).Name : "<none>";
   Diags.error(T.Loc, "no viable alternative at input '" + std::string(T.Text) +

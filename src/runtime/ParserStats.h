@@ -42,21 +42,22 @@ struct DecisionStats {
   /// failures (no viable alternative) are counted in Events but not here.
   std::vector<int64_t> AltEvents;
 
-  /// Records one prediction event. \p Alt is the 1-based chosen
-  /// alternative, or <= 0 when prediction failed.
-  void record(int64_t K, bool Backtracked, int32_t Alt = 0) {
-    ++Events;
-    TotalK += K;
+  /// Records one prediction event, or \p Times (> 0) identical ones. \p Alt
+  /// is the 1-based chosen alternative, or <= 0 when prediction failed.
+  void record(int64_t K, bool Backtracked, int32_t Alt = 0,
+              int64_t Times = 1) {
+    Events += Times;
+    TotalK += K * Times;
     MaxK = std::max(MaxK, K);
-    ++KHist[size_t(std::clamp<int64_t>(K, 0, KHistBuckets - 1))];
+    KHist[size_t(std::clamp<int64_t>(K, 0, KHistBuckets - 1))] += Times;
     if (Backtracked) {
-      ++BacktrackEvents;
-      BacktrackTotalK += K;
+      BacktrackEvents += Times;
+      BacktrackTotalK += K * Times;
     }
     if (Alt > 0) {
       if (AltEvents.size() < size_t(Alt))
         AltEvents.resize(size_t(Alt));
-      ++AltEvents[size_t(Alt) - 1];
+      AltEvents[size_t(Alt) - 1] += Times;
     }
   }
 

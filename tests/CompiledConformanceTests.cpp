@@ -53,6 +53,11 @@
 #include <string>
 #include <vector>
 
+namespace llstar::compiled {
+/// tests/compiled/setops.g's module, emitted at build time.
+extern const CompiledGrammarModule kModule_SetOps;
+} // namespace llstar::compiled
+
 using namespace llstar;
 using namespace llstar::test;
 
@@ -440,7 +445,7 @@ TEST(CompiledConformance, HashGateRejectsStaleModules) {
   compiled::CompiledResolution Res =
       compiled::resolveCompiledTables(*AG, Payload);
   EXPECT_FALSE(Res.fromModule());
-  EXPECT_EQ(Res.View.States, AG->tables().view().States);
+  EXPECT_EQ(Res.View.Ops, AG->tables().view().Ops);
   EXPECT_EQ(Res.Native, nullptr);
   EXPECT_EQ(Res.native().Rules, nullptr);
 
@@ -448,11 +453,38 @@ TEST(CompiledConformance, HashGateRejectsStaleModules) {
   compiled::registerShippedGrammars();
   Res = compiled::resolveCompiledTables(*AG, Payload);
   EXPECT_TRUE(Res.fromModule());
-  EXPECT_EQ(Res.View.States, AG->tables().view().States);
+  EXPECT_EQ(Res.View.Ops, AG->tables().view().Ops);
 
   // An empty payload skips the registry entirely.
   Res = compiled::resolveCompiledTables(*AG, "");
   EXPECT_FALSE(Res.fromModule());
+}
+
+TEST(CompiledConformance, SetOpsModuleMatchesTableWalk) {
+  // Generated bodies test Set ops (`~X`, `~(A|B)`, `.`) against the
+  // tables' bitsets; matches, mismatches and repairs must all agree with
+  // the walk.
+  auto AG = analyzeOrFail(slurp(sourcePath("tests/compiled/setops.g")));
+  ASSERT_TRUE(AG);
+  const compiled::CompiledGrammarModule &M = compiled::kModule_SetOps;
+  ASSERT_EQ(M.PayloadHash, compiled::hashPayload(serializeGrammar(*AG)));
+  EXPECT_NE(slurp(LLSTAR_SETOPS_MODULE).find("setContains("),
+            std::string::npos);
+  const char *Inputs[] = {
+      "[ x ] < a + 1 - > ? ] ; y = - ; ? ; ;", // every Set op matches
+      "[ ] ]",                                 // ~']' sees ']'
+      "< > x",                                 // ~('>'|';')+ sees '>'
+      "< a ; >",                               // ... and ';'
+      "? ",                                    // '.' never matches EOF
+      "x = ] ; + y",                           // ~(';'|']') sees ']'
+      "x = ; ; [ [ ] - 2",                     // ... and ';'
+  };
+  for (const char *Input : Inputs)
+    for (bool Recover : {false, true})
+      expectIdentical(capture(*AG, Input, Recover),
+                      capture(*AG, Input, Recover, {{M.Native, M.Rules}}),
+                      std::string(Recover ? "[recover] <" : "<") + Input +
+                          ">");
 }
 
 //===----------------------------------------------------------------------===//
@@ -483,22 +515,23 @@ void expectSameTables(const compiled::CompiledTables &A,
                       const compiled::CompiledTables &B) {
   const compiled::TablesView &X = A.view(), &Y = B.view();
   ASSERT_EQ(X.NumTokens, Y.NumTokens);
-  ASSERT_EQ(X.NumStates, Y.NumStates);
+  ASSERT_EQ(X.NumOps, Y.NumOps);
   ASSERT_EQ(X.NumRules, Y.NumRules);
   ASSERT_EQ(X.NumDecisions, Y.NumDecisions);
   ASSERT_EQ(X.SetWordsPerSet, Y.SetWordsPerSet);
-  ASSERT_EQ(A.numAltTargets(), B.numAltTargets());
+  ASSERT_EQ(A.numAltOps(), B.numAltOps());
   ASSERT_EQ(A.numDfaTransEntries(), B.numDfaTransEntries());
   ASSERT_EQ(A.numDfaStatesTotal(), B.numDfaStatesTotal());
   ASSERT_EQ(A.numPredEdges(), B.numPredEdges());
+  ASSERT_EQ(A.numLL1Bytes(), B.numLL1Bytes());
   ASSERT_EQ(A.numSetWords(), B.numSetWords());
   auto Same = [](const auto *P, const auto *Q, size_t N) {
     return N == 0 || std::memcmp(P, Q, N * sizeof(*P)) == 0;
   };
-  EXPECT_TRUE(Same(X.States, Y.States, size_t(X.NumStates)));
-  EXPECT_TRUE(Same(X.RuleStarts, Y.RuleStarts, size_t(X.NumRules)));
-  EXPECT_TRUE(Same(X.RuleStops, Y.RuleStops, size_t(X.NumRules)));
-  EXPECT_TRUE(Same(X.AltTargets, Y.AltTargets, A.numAltTargets()));
+  EXPECT_TRUE(Same(X.Ops, Y.Ops, size_t(X.NumOps)));
+  EXPECT_TRUE(Same(X.OpStates, Y.OpStates, size_t(X.NumOps)));
+  EXPECT_TRUE(Same(X.Rules, Y.Rules, size_t(X.NumRules)));
+  EXPECT_TRUE(Same(X.AltOps, Y.AltOps, A.numAltOps()));
   EXPECT_TRUE(
       Same(X.DecisionStates, Y.DecisionStates, size_t(X.NumDecisions)));
   EXPECT_TRUE(Same(X.Decisions, Y.Decisions, size_t(X.NumDecisions)));
@@ -507,6 +540,7 @@ void expectSameTables(const compiled::CompiledTables &A,
   EXPECT_TRUE(Same(X.DfaPredFirst, Y.DfaPredFirst, A.numDfaStatesTotal()));
   EXPECT_TRUE(Same(X.DfaPredCount, Y.DfaPredCount, A.numDfaStatesTotal()));
   EXPECT_TRUE(Same(X.PredEdges, Y.PredEdges, A.numPredEdges()));
+  EXPECT_TRUE(Same(X.LL1Rows, Y.LL1Rows, A.numLL1Bytes()));
   EXPECT_TRUE(Same(X.SetWords, Y.SetWords, A.numSetWords()));
 }
 
@@ -539,7 +573,7 @@ TEST(CompiledConformance, EveryConstructionPathCarriesTables) {
     const char *Names[] = {"analyze", "fromParts", "deserializeGrammar",
                            "bundle bytes"};
     for (const AnalyzedGrammar *AG : Paths) {
-      EXPECT_GT(AG->tables().view().NumStates, 0);
+      EXPECT_GT(AG->tables().view().NumOps, 0);
       EXPECT_EQ(size_t(AG->tables().view().NumDecisions),
                 AG->numDecisions());
       expectSameTables(Analyzed->tables(), AG->tables());

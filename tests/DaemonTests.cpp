@@ -192,6 +192,37 @@ TEST(DaemonTest, UnknownBundleHashAndBadBundleBytesAreCleanErrors) {
   EXPECT_EQ(Reply.Parse.Status, uint8_t(ParseStatus::Ok));
 }
 
+TEST(DaemonTest, BadGrammarOptionValueIsATypedErrorNotACrash) {
+  Harness H;
+  ASSERT_TRUE(H.Ok);
+  // Option values that are not a positive int32 used to throw out of the
+  // grammar parser and abort the daemon.
+  for (const char *V : {"abc", "99999999999"}) {
+    std::string Bytes = std::string("grammar Bad; options { maxDfaStates = ") +
+                        V + "; } s : A ; A : 'a' ;";
+    wire::LoadBundleReply Loaded;
+    std::string Err;
+    EXPECT_FALSE(H.Client.loadBundle(Bytes, Loaded, &Err)) << V;
+    EXPECT_NE(Err.find("bad-bundle"), std::string::npos) << Err;
+    EXPECT_NE(Err.find("expects a positive integer"), std::string::npos)
+        << Err;
+  }
+
+  // The daemon is still up: a fresh connection loads and parses.
+  LlstarClient Next;
+  std::string Err;
+  ASSERT_TRUE(Next.connect("127.0.0.1", H.Server.port(), &Err)) << Err;
+  uint64_t Hash = loadOrFail(Next, ExprGrammar);
+  wire::ParseArgs Args;
+  Args.BundleHash = Hash;
+  Args.Input = "1 + 2";
+  wire::Message Reply;
+  ASSERT_TRUE(Next.parse(Args, false, Reply, &Err)) << Err;
+  ASSERT_EQ(Reply.Hdr.Op, wire::Opcode::ParseReply);
+  EXPECT_EQ(Reply.Parse.Status, uint8_t(ParseStatus::Ok));
+  Next.close();
+}
+
 //===----------------------------------------------------------------------===//
 // Over-the-wire conformance: byte-identical to the in-process service
 //===----------------------------------------------------------------------===//

@@ -116,6 +116,29 @@ B : 'b' ;
   EXPECT_EQ(G->Options.MaxDfaStates, 99);
 }
 
+TEST(GrammarParser, BadIntegerOptionIsADiagnostic) {
+  // Non-numbers, values past int32, zero, negatives and trailing junk are
+  // each reported, never thrown; the option keeps its default.
+  const char *Values[] = {"abc", "99999999999", "0", "-1", "12x"};
+  for (const char *Key : {"maxDfaStates", "m"}) {
+    for (const char *V : Values) {
+      SCOPED_TRACE(std::string(Key) + " = " + V);
+      DiagnosticEngine Diags;
+      auto G = parseGrammarText(std::string("grammar T; options { ") + Key +
+                                    " = " + V + "; } a : B ; B : 'b' ;",
+                                Diags);
+      EXPECT_TRUE(Diags.hasErrors());
+      EXPECT_TRUE(Diags.contains("expects a positive integer")) << Diags.str();
+    }
+  }
+  auto G = parseOrFail(
+      "grammar T; options { m = +7; maxDfaStates = 2147483647; } a : B ; "
+      "B : 'b' ;");
+  ASSERT_TRUE(G);
+  EXPECT_EQ(G->Options.MaxRecursionDepth, 7);
+  EXPECT_EQ(G->Options.MaxDfaStates, 2147483647);
+}
+
 TEST(GrammarParser, UnknownOptionWarns) {
   DiagnosticEngine Diags;
   auto G = parseGrammarText(
