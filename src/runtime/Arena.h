@@ -92,7 +92,9 @@ private:
     size_t Bytes = 0;
   };
 
-  void grow(size_t AtLeast) {
+  /// The slow path of allocate(), kept out of line so allocate() and
+  /// create() stay small enough to inline into the parser's hot loop.
+  [[gnu::noinline]] void grow(size_t AtLeast) {
     size_t Bytes = BlockBytes;
     while (Bytes < AtLeast)
       Bytes *= 2;
