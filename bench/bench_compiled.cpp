@@ -1,20 +1,16 @@
 //===- bench/bench_compiled.cpp - Table walk vs native module -------------===//
 //
 // Measures what the native modules (src/compiled/, grammars/compiled/) add
-// on top of LL(*) parsing's table walk on every shipped grammar, split the
-// way the subsystem is layered:
-//
-//   1. lexer — the grammar's spec-compiled CharDfa vs the generated dense
-//      byte-DFA tables of the registered module (tokens/s);
-//   2. full parse — LLStarParser walking the grammar's own tables vs the
-//      same parser with the module's native predictors and rule bodies,
-//      over the same token stream, trees and stats off, so the number
-//      isolates prediction and matching throughput (the layer the
-//      generated code replaces; tree building costs the same in both).
+// on top of LL(*) parsing's table walk on every shipped grammar: a full
+// parse by LLStarParser walking the grammar's own tables vs the same
+// parser with the module's native predictors and rule bodies, over the
+// same token stream, trees and stats off, so the number isolates
+// prediction and matching throughput (the layer the generated code
+// replaces; lexing and tree building cost the same in both).
 //
 // Workloads are synthetic but idiomatic per grammar, sized by --units.
 // Each cell alternates --repeat sample pairs (table walk, native), each
-// sample repeating its parse or lex for at least MinSampleSecs, and
+// sample repeating its parse for at least MinSampleSecs, and
 // reports the median and interquartile range. `--json FILE` records the
 // results with the build type and git revision; BENCH_compiled.json at
 // the repo root is a committed baseline from a Release build. Every shipped grammar is expected to resolve
@@ -31,10 +27,10 @@
 #include "lexer/TokenStream.h"
 #include "runtime/LLStarParser.h"
 
+#include "BenchHarness.h"
 #include "CompiledManifest.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -226,29 +222,13 @@ struct Split {
   }
 };
 
-/// The checkout's git revision, "-dirty" when it has local changes.
-std::string gitRevision() {
-  std::string Cmd = std::string("git -C \"") + LLSTAR_SOURCE_DIR +
-                    "\" describe --always --dirty --abbrev=12 2>/dev/null";
-  std::string Rev;
-  if (FILE *P = popen(Cmd.c_str(), "r")) {
-    char Buf[128];
-    while (std::fgets(Buf, sizeof(Buf), P))
-      Rev += Buf;
-    pclose(P);
-  }
-  while (!Rev.empty() && std::isspace(uint8_t(Rev.back())))
-    Rev.pop_back();
-  return Rev.empty() ? "unknown" : Rev;
-}
-
 struct GrammarReport {
   std::string Name;
   bool FromModule = false;
   int NativePredictors = 0;
   int Decisions = 0;
   int64_t Tokens = 0;
-  Split Lex, Parse;
+  Split Parse;
 };
 
 } // namespace
@@ -276,10 +256,9 @@ int main(int Argc, char **Argv) {
   std::printf("table walk vs native module: %d units, median of %d "
               "alternating samples of >= %.2f s (%s build, %s)\n\n",
               Units, Repeat, MinSampleSecs, LLSTAR_BUILD_TYPE,
-              gitRevision().c_str());
-  std::printf("%-8s %-7s %-8s %12s %12s %8s %12s %12s %8s\n", "grammar",
-              "module", "native", "lex-spec t/s", "lex-mod t/s", "lex-x",
-              "walk t/s", "native t/s", "par-x");
+              bench::gitRevision(LLSTAR_SOURCE_DIR).c_str());
+  std::printf("%-8s %-7s %-8s %12s %12s %8s\n", "grammar", "module",
+              "native", "walk t/s", "native t/s", "par-x");
 
   for (const Workload &W : Workloads) {
     std::string Text = readFile(std::string(LLSTAR_SOURCE_DIR) +
@@ -306,8 +285,6 @@ int main(int Argc, char **Argv) {
     std::string Input = W.Generate(Units);
     DiagnosticEngine LexDiags;
     Lexer SpecLex(AG->grammar().lexerSpec(), LexDiags);
-    auto ModuleLex = Res.fromModule() ? compiled::makeModuleLexer(*Res.Module)
-                                      : nullptr;
     std::vector<Token> Tokens = SpecLex.tokenize(Input, LexDiags);
     if (LexDiags.hasErrors()) {
       std::fprintf(stderr, "%s workload does not lex:\n%s", W.File,
@@ -315,20 +292,6 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     R.Tokens = int64_t(Tokens.size()) - 1; // exclude EOF
-
-    // Lexer split. Without a module (stale hash) the native side runs
-    // the same spec lexer; the speedup column then honestly reads ~1x.
-    const Lexer &NativeLex = ModuleLex ? *ModuleLex : SpecLex;
-    R.Lex.measure(
-        Repeat, R.Tokens,
-        [&] {
-          DiagnosticEngine D;
-          SpecLex.tokenize(Input, D);
-        },
-        [&] {
-          DiagnosticEngine D;
-          NativeLex.tokenize(Input, D);
-        });
 
     // Full-parse split: trees and stats off so the measurement isolates
     // prediction + matching, the layer the generated code replaces.
@@ -365,10 +328,8 @@ int main(int Argc, char **Argv) {
     char Native[16];
     std::snprintf(Native, sizeof(Native), "%d/%d", R.NativePredictors,
                   R.Decisions);
-    std::printf("%-8s %-7s %-8s %12.0f %12.0f %7.2fx %12.0f %12.0f %7.2fx "
-                "(IQR %.2f-%.2f)\n",
+    std::printf("%-8s %-7s %-8s %12.0f %12.0f %7.2fx (IQR %.2f-%.2f)\n",
                 R.Name.c_str(), R.FromModule ? "yes" : "STALE", Native,
-                R.Lex.BaseTps, R.Lex.NativeTps, R.Lex.Speedup.Median,
                 R.Parse.BaseTps, R.Parse.NativeTps, R.Parse.Speedup.Median,
                 R.Parse.Speedup.Q1, R.Parse.Speedup.Q3);
     Reports.push_back(std::move(R));
@@ -380,12 +341,13 @@ int main(int Argc, char **Argv) {
                   "{\n  \"buildType\": \"%s\",\n  \"gitRev\": \"%s\",\n"
                   "  \"units\": %d,\n  \"repeat\": %d,\n"
                   "  \"minSampleSecs\": %.2f,\n"
-                  "  \"note\": \"seconds per parse (trees and stats off) or "
-                  "per lex: median and [q1, q3] over alternating sample "
-                  "pairs; speedup is the spread of per-pair base/native "
+                  "  \"note\": \"seconds per parse (trees and stats off): "
+                  "median and [q1, q3] over alternating sample pairs; "
+                  "speedup is the spread of per-pair base/native "
                   "ratios\",\n  \"grammars\": [\n",
-                  LLSTAR_BUILD_TYPE, gitRevision().c_str(), Units, Repeat,
-                  MinSampleSecs);
+                  LLSTAR_BUILD_TYPE,
+                  bench::gitRevision(LLSTAR_SOURCE_DIR).c_str(), Units,
+                  Repeat, MinSampleSecs);
     std::string Out = Buf;
     auto SplitJson = [&](const char *Key, const Split &S) {
       std::snprintf(
@@ -408,8 +370,6 @@ int main(int Argc, char **Argv) {
                     R.Name.c_str(), R.FromModule ? "true" : "false",
                     R.NativePredictors, R.Decisions, (long long)R.Tokens);
       Out += Buf;
-      SplitJson("lexer", R.Lex);
-      Out += ",\n";
       SplitJson("parse", R.Parse);
       Out += G + 1 < Reports.size() ? "},\n" : "}\n";
     }

@@ -18,17 +18,22 @@
 // (they are 1 byte). Per-edit wall time comes from EditOutcome::Millis
 // (relex + reparse only), best-of --repeat over the whole edit sequence.
 // The reuse counters in the report prove the incremental side actually
-// spliced (nodesReused) instead of winning by measurement error.
+// spliced (nodesReused) instead of winning by measurement error. Sessions
+// run the shipped native modules, as every session does when one
+// hash-matches its grammar.
 //
 //   bench_incremental [--units N] [--edits N] [--repeat N] [--json FILE]
 //
-// BENCH_incremental.json at the repo root is a committed baseline.
+// `--json FILE` records the results with the build type and git revision;
+// BENCH_incremental.json at the repo root is a committed baseline from a
+// Release build.
 //
 //===----------------------------------------------------------------------===//
 
 #include "incremental/IncrementalSession.h"
 #include "service/GrammarBundleCache.h"
 
+#include "BenchHarness.h"
 #include "CompiledManifest.h"
 
 #include <cctype>
@@ -117,16 +122,11 @@ std::vector<Edit> makeEdits(const std::string &Text, int Count) {
   return Edits;
 }
 
-struct EngineReport {
-  const char *Engine = "";
-  double FullMsPerEdit = 0, IncMsPerEdit = 0, Speedup = 0;
-  long long NodesReused = 0, TokensRelexed = 0, DecisionsReparsed = 0;
-};
-
 struct WorkloadReport {
   std::string Name;
   long long Bytes = 0, Tokens = 0;
-  std::vector<EngineReport> Engines;
+  double FullMsPerEdit = 0, IncMsPerEdit = 0, Speedup = 0;
+  long long NodesReused = 0, TokensRelexed = 0, DecisionsReparsed = 0;
 };
 
 /// Total EditOutcome::Millis of replaying \p Edits once, best of \p Repeat
@@ -134,7 +134,7 @@ struct WorkloadReport {
 /// does identical work. Counters are captured from the last replay.
 double replay(std::shared_ptr<const GrammarBundle> Bundle,
               const std::string &Base, const std::vector<Edit> &Edits,
-              const SessionOptions &SO, int Repeat, EngineReport *Counters) {
+              const SessionOptions &SO, int Repeat, WorkloadReport *Counters) {
   double Best = 1e18;
   for (int Rep = 0; Rep < Repeat; ++Rep) {
     IncrementalSession S(Bundle, SO);
@@ -174,7 +174,6 @@ double replay(std::shared_ptr<const GrammarBundle> Bundle,
 
 int main(int Argc, char **Argv) {
   int Units = 400, NumEdits = 32, Repeat = 5;
-  bool UseArena = false;
   std::string JsonPath;
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--units") && I + 1 < Argc)
@@ -183,25 +182,24 @@ int main(int Argc, char **Argv) {
       NumEdits = std::atoi(Argv[++I]);
     else if (!std::strcmp(Argv[I], "--repeat") && I + 1 < Argc)
       Repeat = std::atoi(Argv[++I]);
-    else if (!std::strcmp(Argv[I], "--arena"))
-      UseArena = true;
     else if (!std::strcmp(Argv[I], "--json") && I + 1 < Argc)
       JsonPath = Argv[++I];
     else {
       std::fprintf(stderr,
                    "usage: bench_incremental [--units N] [--edits N] "
-                   "[--repeat N] [--arena] [--json FILE]\n");
+                   "[--repeat N] [--json FILE]\n");
       return 2;
     }
   }
 
   compiled::registerShippedGrammars();
+  const std::string Rev = bench::gitRevision(LLSTAR_SOURCE_DIR);
   std::printf("incremental reparse vs full reparse: %d units, %d one-byte "
-              "edits, best of %d\n\n",
-              Units, NumEdits, Repeat);
-  std::printf("%-6s %-9s %9s %8s %12s %12s %8s %10s %9s\n", "input",
-              "engine", "bytes", "tokens", "full ms/ed", "inc ms/ed",
-              "speedup", "reused", "relexed");
+              "edits, best of %d (%s build, %s)\n\n",
+              Units, NumEdits, Repeat, LLSTAR_BUILD_TYPE, Rev.c_str());
+  std::printf("%-6s %9s %8s %12s %12s %8s %10s %9s\n", "input", "bytes",
+              "tokens", "full ms/ed", "inc ms/ed", "speedup", "reused",
+              "relexed");
 
   std::vector<WorkloadReport> Reports;
   for (const Workload &W : Workloads) {
@@ -225,30 +223,23 @@ int main(int Argc, char **Argv) {
       ScratchResult SR = scratchParse(*Bundle, Base, SessionOptions());
       R.Tokens = (long long)SR.Tokens.size();
     }
-    for (bool Compiled : {false, true}) {
-      EngineReport E;
-      E.Engine = Compiled ? "compiled" : "interp";
-      SessionOptions Full;
-      Full.UseCompiled = Compiled;
-      Full.UseArena = UseArena;
-      Full.Reuse = false;
-      SessionOptions Inc = Full;
-      Inc.Reuse = true;
-      double FullMs = replay(Bundle, Base, Edits, Full, Repeat, nullptr);
-      double IncMs = replay(Bundle, Base, Edits, Inc, Repeat, &E);
-      E.FullMsPerEdit = FullMs / NumEdits;
-      E.IncMsPerEdit = IncMs / NumEdits;
-      E.Speedup = FullMs / IncMs;
-      std::printf("%-6s %-9s %9lld %8lld %12.4f %12.4f %7.2fx %10lld %9lld\n",
-                  W.File, E.Engine, R.Bytes, R.Tokens, E.FullMsPerEdit,
-                  E.IncMsPerEdit, E.Speedup, E.NodesReused, E.TokensRelexed);
-      R.Engines.push_back(E);
-    }
+    SessionOptions Full;
+    Full.Reuse = false;
+    double FullMs = replay(Bundle, Base, Edits, Full, Repeat, nullptr);
+    double IncMs = replay(Bundle, Base, Edits, SessionOptions(), Repeat, &R);
+    R.FullMsPerEdit = FullMs / NumEdits;
+    R.IncMsPerEdit = IncMs / NumEdits;
+    R.Speedup = FullMs / IncMs;
+    std::printf("%-6s %9lld %8lld %12.4f %12.4f %7.2fx %10lld %9lld\n",
+                W.File, R.Bytes, R.Tokens, R.FullMsPerEdit, R.IncMsPerEdit,
+                R.Speedup, R.NodesReused, R.TokensRelexed);
     Reports.push_back(std::move(R));
   }
 
   if (!JsonPath.empty()) {
-    std::string Out = "{\n  \"units\": " + std::to_string(Units) +
+    std::string Out = std::string("{\n  \"buildType\": \"") +
+                      LLSTAR_BUILD_TYPE + "\",\n  \"gitRev\": \"" + Rev +
+                      "\",\n  \"units\": " + std::to_string(Units) +
                       ",\n  \"edits\": " + std::to_string(NumEdits) +
                       ",\n  \"repeat\": " + std::to_string(Repeat) +
                       ",\n  \"workloads\": [\n";
@@ -257,23 +248,14 @@ int main(int Argc, char **Argv) {
       const WorkloadReport &R = Reports[G];
       std::snprintf(Buf, sizeof(Buf),
                     "    {\"name\": \"%s\", \"bytes\": %lld, "
-                    "\"tokens\": %lld, \"engines\": [\n",
-                    R.Name.c_str(), R.Bytes, R.Tokens);
+                    "\"tokens\": %lld, \"fullMsPerEdit\": %.4f, "
+                    "\"incMsPerEdit\": %.4f, \"speedup\": %.2f, "
+                    "\"nodesReused\": %lld, \"tokensRelexed\": %lld, "
+                    "\"decisionsReparsed\": %lld}%s\n",
+                    R.Name.c_str(), R.Bytes, R.Tokens, R.FullMsPerEdit,
+                    R.IncMsPerEdit, R.Speedup, R.NodesReused, R.TokensRelexed,
+                    R.DecisionsReparsed, G + 1 < Reports.size() ? "," : "");
       Out += Buf;
-      for (size_t K = 0; K < R.Engines.size(); ++K) {
-        const EngineReport &E = R.Engines[K];
-        std::snprintf(
-            Buf, sizeof(Buf),
-            "     {\"engine\": \"%s\", \"fullMsPerEdit\": %.4f, "
-            "\"incMsPerEdit\": %.4f, \"speedup\": %.2f, "
-            "\"nodesReused\": %lld, \"tokensRelexed\": %lld, "
-            "\"decisionsReparsed\": %lld}%s\n",
-            E.Engine, E.FullMsPerEdit, E.IncMsPerEdit, E.Speedup,
-            E.NodesReused, E.TokensRelexed, E.DecisionsReparsed,
-            K + 1 < R.Engines.size() ? "," : "");
-        Out += Buf;
-      }
-      Out += G + 1 < Reports.size() ? "    ]},\n" : "    ]}\n";
     }
     Out += "  ]\n}\n";
     std::ofstream F(JsonPath);

@@ -96,10 +96,10 @@ double timedServicePass(const std::shared_ptr<const GrammarBundle> &Bundle,
 }
 
 /// Best-of-N single-threaded parse over the workload, tree building on.
-/// With \p UseArena, trees go to a recycled arena; otherwise the heap.
+/// With \p ArenaTrees, trees go to a recycled arena; otherwise the heap.
 double timedDirectPass(const AnalyzedGrammar &AG,
                        std::vector<TokenStream> &Streams,
-                       const std::string &StartRule, bool UseArena,
+                       const std::string &StartRule, bool ArenaTrees,
                        int Repeat) {
   double Best = 1e9;
   Arena TreeArena;
@@ -110,7 +110,7 @@ double timedDirectPass(const AnalyzedGrammar &AG,
       DiagnosticEngine Diags;
       ParserOptions Opts;
       Opts.CollectStats = false;
-      if (UseArena)
+      if (ArenaTrees)
         Opts.TreeArena = &TreeArena;
       LLStarParser P(AG, Stream, nullptr, Diags, Opts);
       auto Tree = P.parse(StartRule);
@@ -119,7 +119,7 @@ double timedDirectPass(const AnalyzedGrammar &AG,
                      Diags.str().c_str());
         std::exit(1);
       }
-      if (UseArena)
+      if (ArenaTrees)
         TreeArena.reset();
       else
         Tree.reset();
@@ -197,10 +197,10 @@ int main(int Argc, char **Argv) {
 
     Report.HeapSeconds =
         timedDirectPass(Bundle->analyzed(), Streams, Spec.StartRule,
-                        /*UseArena=*/false, Repeat);
+                        /*ArenaTrees=*/false, Repeat);
     Report.ArenaSeconds =
         timedDirectPass(Bundle->analyzed(), Streams, Spec.StartRule,
-                        /*UseArena=*/true, Repeat);
+                        /*ArenaTrees=*/true, Repeat);
     Report.ArenaSpeedup = Report.HeapSeconds / Report.ArenaSeconds;
     std::printf("  trees:   heap %.4fs, arena %.4fs (%.2fx)\n\n",
                 Report.HeapSeconds, Report.ArenaSeconds,

@@ -1,5 +1,6 @@
 #include "BenchHarness.h"
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 
@@ -11,6 +12,21 @@ int64_t llstar::bench::countLines(const std::string &Text) {
   for (char C : Text)
     N += C == '\n';
   return N;
+}
+
+std::string llstar::bench::gitRevision(const std::string &SourceDir) {
+  std::string Cmd = "git -C \"" + SourceDir +
+                    "\" describe --always --dirty --abbrev=12 2>/dev/null";
+  std::string Rev;
+  if (FILE *P = popen(Cmd.c_str(), "r")) {
+    char Buf[128];
+    while (std::fgets(Buf, sizeof(Buf), P))
+      Rev += Buf;
+    pclose(P);
+  }
+  while (!Rev.empty() && std::isspace(uint8_t(Rev.back())))
+    Rev.pop_back();
+  return Rev.empty() ? "unknown" : Rev;
 }
 
 PreparedGrammar PreparedGrammar::prepare(const BenchGrammar &Spec) {

@@ -54,6 +54,10 @@ struct PreparedGrammar {
 /// Number of newline-terminated lines in \p Text.
 int64_t countLines(const std::string &Text);
 
+/// The git revision of the checkout at \p SourceDir, "-dirty" when it has
+/// local changes, or "unknown". The throughput benches record it.
+std::string gitRevision(const std::string &SourceDir);
+
 /// Seed of the workload paper Tables 3 and 4 parse for each grammar.
 constexpr unsigned PaperWorkloadSeed = 20110604;
 /// Workload units for \p Name: a few thousand lines per grammar.

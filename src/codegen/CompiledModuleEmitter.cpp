@@ -4,7 +4,6 @@
 #include "codegen/Serializer.h"
 #include "compiled/CompiledRegistry.h"
 #include "dfa/LookaheadDFA.h"
-#include "lexer/Lexer.h"
 
 #include <algorithm>
 #include <cassert>
@@ -337,11 +336,6 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
   const TablesView &V = AG.tables().view();
   uint64_t Hash = hashPayload(serializeGrammar(AG));
 
-  // The lexer tables, compiled the same way every loader compiles them.
-  DiagnosticEngine LexDiags;
-  Lexer Lex(AG.grammar().lexerSpec(), LexDiags);
-  const auto &LexStates = Lex.dfa().states();
-
   std::ostringstream OS;
   OS << "//===- " << Name
      << "_compiled.cpp - Compiled grammar module ------*- C++ -*-===//\n"
@@ -392,23 +386,7 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
             [&](std::ostream &O, size_t I) { O << "&Rule" << I; });
   OS << "\n";
 
-  // --- Lexer tables -------------------------------------------------------
-  emitArray(OS, "int32_t", "kLexNext", LexStates.size() * 256, 16,
-            [&](std::ostream &O, size_t I) {
-              O << LexStates[I / 256].Next[I % 256];
-            });
-  emitArray(OS, "int32_t", "kLexAccept", LexStates.size(), 16,
-            [&](std::ostream &O, size_t I) {
-              O << LexStates[I].AcceptTag;
-            });
-  emitArray(OS, "uint8_t", "kLexActions", Lex.actions().size(), 16,
-            [&](std::ostream &O, size_t I) {
-              O << unsigned(static_cast<uint8_t>(Lex.actions()[I]));
-            });
-  emitArray(OS, "int32_t", "kLexTypes", Lex.types().size(), 16,
-            [&](std::ostream &O, size_t I) { O << Lex.types()[I]; });
-
-  OS << "\n} // namespace\n\n";
+  OS << "} // namespace\n\n";
 
   // --- The module object --------------------------------------------------
   OS << "extern const CompiledGrammarModule " << Out.SymbolName << ";\n"
@@ -417,17 +395,10 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
      << "    /*PayloadHash=*/" << hex64(Hash) << ",\n"
      << "    /*Native=*/kNative,\n"
      << "    /*Rules=*/kNativeRules,\n"
-     << "    /*LexNext=*/kLexNext,\n"
-     << "    /*LexAccept=*/kLexAccept,\n"
-     << "    /*NumLexStates=*/" << LexStates.size() << ",\n"
-     << "    /*LexActions=*/kLexActions,\n"
-     << "    /*LexTypes=*/kLexTypes,\n"
-     << "    /*NumLexTags=*/" << Lex.types().size() << ",\n"
      << "};\n\n"
      << "} // namespace compiled\n"
      << "} // namespace llstar\n";
 
   Out.Source = OS.str();
-  Out.TableBytes = LexStates.size() * 257 * 4 + Lex.types().size() * 5;
   return Out;
 }

@@ -10,7 +10,7 @@
 /// switch-dispatch predictor function per predicate-free decision, a
 /// generated body per rule (state ids, labels and set indices of the
 /// grammar's analysis/CompiledTables.h folded to constants; the parser
-/// supplies the tables at run time), the dense lexer byte-DFA, and one extern
+/// supplies the tables at run time), and one extern
 /// \ref llstar::compiled::CompiledGrammarModule object stamped with the
 /// FNV-1a hash of the grammar's serialized analysis payload. The emitted
 /// file compiles against compiled/CompiledRegistry.h and
@@ -47,9 +47,6 @@ struct EmittedCompiledModule {
   /// them; kept as a count for tool diagnostics).
   int32_t NumNativeRules = 0;
   int32_t NumRules = 0;
-  /// Approximate static-data footprint of the emitted lexer tables, in
-  /// bytes.
-  size_t TableBytes = 0;
 };
 
 /// Emits the compiled module for \p AG.

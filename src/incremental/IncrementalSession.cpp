@@ -9,15 +9,6 @@
 using namespace llstar;
 using namespace llstar::incremental;
 
-namespace {
-
-/// The native module code \p Opts asks its parses to use.
-NativeCode nativeCode(const GrammarBundle &Bundle, const SessionOptions &Opts) {
-  return Opts.UseCompiled ? Bundle.compiledTables().native() : NativeCode();
-}
-
-} // namespace
-
 IncrementalSession::IncrementalSession(
     std::shared_ptr<const GrammarBundle> Bundle, SessionOptions Opts)
     : Bundle(std::move(Bundle)), Opts(std::move(Opts)),
@@ -32,11 +23,7 @@ ParserStats IncrementalSession::takeStatsDelta() {
 }
 
 std::string IncrementalSession::treeText() const {
-  if (HeapRoot)
-    return HeapRoot->str(Bundle->grammar());
-  if (ArenaRoot && Stream)
-    return ArenaRoot->str(Bundle->grammar(), *Stream);
-  return "";
+  return HeapRoot ? HeapRoot->str(Bundle->grammar()) : "";
 }
 
 EditOutcome IncrementalSession::reset(std::string NewText) {
@@ -150,19 +137,12 @@ EditOutcome IncrementalSession::parseCurrent(
 
   // The stream is a view over the master token vector — IncrementalLexer
   // splices that vector in place between parses, so copying it here would
-  // put an O(tokens) tax on every edit. Nothing reads the previous stream
-  // during the parse (arena renderings happen between edits, against the
-  // committed stream).
-  auto NewStream =
-      std::make_unique<TokenStream>(IncLex.tokens(), TokenStream::Borrow{});
-
-  Arena *BuildArena = nullptr;
-  if (Opts.UseArena)
-    BuildArena = LiveIsA ? &ArenaB : &ArenaA;
+  // put an O(tokens) tax on every edit.
+  TokenStream Stream(IncLex.tokens(), TokenStream::Borrow{});
 
   const bool UseHooks = Opts.Reuse;
   ReuseRecorder::Config RC;
-  if (Incremental && Opts.Reuse && (HeapRoot || ArenaRoot)) {
+  if (Incremental && Opts.Reuse && HeapRoot) {
     RC.Prev = &Record;
     RC.InvalidLo = D.InvalidLo;
     RC.OldInvalidHi = D.OldInvalidHi;
@@ -171,14 +151,12 @@ EditOutcome IncrementalSession::parseCurrent(
     RC.SuffixIdentical = D.SuffixIdentical;
   }
   RC.NewTokens = &IncLex.tokens();
-  RC.NewArena = BuildArena;
   ReuseRecorder Rec(RC);
 
   ParserOptions PO;
   PO.BuildTree = true;
   PO.CollectStats = true;
   PO.Recover = Opts.Recover;
-  PO.TreeArena = BuildArena;
   if (UseHooks) {
     PO.Hooks = &Rec;
     // Memo hits replay speculative sub-parses without re-reporting their
@@ -188,25 +166,16 @@ EditOutcome IncrementalSession::parseCurrent(
   }
 
   const AnalyzedGrammar &AG = Bundle->analyzed();
-  LLStarParser P(AG, *NewStream, /*Env=*/nullptr, Diags, PO,
-                 nativeCode(*Bundle, Opts));
-  std::unique_ptr<ParseTree> NewHeapRoot = P.parse(Opts.StartRule);
-  const ArenaParseTree *NewArenaRoot = P.arenaTree();
+  LLStarParser P(AG, Stream, /*Env=*/nullptr, Diags, PO,
+                 Bundle->compiledTables().native());
+  // Commit: the new tree replaces the old.
+  HeapRoot = P.parse(Opts.StartRule);
   bool ParseOk = P.ok();
   ParserStats &S = P.stats();
-
-  // Commit: the new tree replaces the old, the old arena is recycled.
-  HeapRoot = std::move(NewHeapRoot);
-  ArenaRoot = NewArenaRoot;
-  Stream = std::move(NewStream);
   if (UseHooks)
     Record = Rec.take();
   else
     Record.clear();
-  if (Opts.UseArena) {
-    (LiveIsA ? ArenaA : ArenaB).reset();
-    LiveIsA = !LiveIsA;
-  }
   LastOk = ParseOk;
 
   S.TokensRelexed = D.Relexed;
@@ -225,16 +194,12 @@ EditOutcome IncrementalSession::parseCurrent(
   O.NodesReused = S.NodesReused;
   O.TokensRelexed = S.TokensRelexed;
   O.DecisionsReparsed = S.DecisionsReparsed;
-  // A heap tree is counted from its fresh nodes: spliced subtrees carry
-  // the counts stored when an earlier parse built them. Arena splices are
-  // copies, so an arena tree is counted whole.
+  // The tree is counted from its fresh nodes: spliced subtrees carry the
+  // counts stored when an earlier parse built them.
   if (HeapRoot) {
     auto [Nodes, Errors] = storeFreshCounts(*HeapRoot);
     O.TreeNodes = int64_t(Nodes);
     O.ErrorLeaves = int64_t(Errors);
-  } else if (ArenaRoot) {
-    O.TreeNodes = int64_t(ArenaRoot->size());
-    O.ErrorLeaves = int64_t(ArenaRoot->numErrorNodes());
   }
   O.NumErrors = Diags.errorCount();
   return O;
@@ -248,27 +213,20 @@ ScratchResult llstar::incremental::scratchParse(const GrammarBundle &Bundle,
   TokenStream Stream(Bundle.tokenize(Text, Diags));
   R.Tokens = Stream.tokens();
 
-  Arena A;
   ParserOptions PO;
   PO.BuildTree = true;
   PO.CollectStats = true;
   PO.Recover = Opts.Recover;
-  if (Opts.UseArena)
-    PO.TreeArena = &A;
 
   const AnalyzedGrammar &AG = Bundle.analyzed();
   LLStarParser P(AG, Stream, /*Env=*/nullptr, Diags, PO,
-                 nativeCode(Bundle, Opts));
+                 Bundle.compiledTables().native());
   std::unique_ptr<ParseTree> Root = P.parse(Opts.StartRule);
   R.ParseOk = P.ok();
   if (Root) {
     R.TreeText = Root->str(AG.grammar());
     R.TreeNodes = int64_t(Root->size());
     R.ErrorLeaves = int64_t(Root->numErrorNodes());
-  } else if (P.arenaTree()) {
-    R.TreeText = P.arenaTree()->str(AG.grammar(), Stream);
-    R.TreeNodes = int64_t(P.arenaTree()->size());
-    R.ErrorLeaves = int64_t(P.arenaTree()->numErrorNodes());
   }
   R.DiagText = Diags.str();
   return R;

@@ -16,17 +16,19 @@
 /// tokens, tree rendering, node and error-leaf counts, and diagnostics
 /// are byte-identical to a from-scratch parse of the whole new text
 /// (\ref scratchParse is that oracle; `llstar-fuzz --edit-smoke` enforces
-/// the equivalence over random edit scripts in every mode combination).
+/// the equivalence over random edit scripts, with recovery on and off).
 /// Reuse is an optimization bounded by soundness checks — when in doubt
 /// (predicate- or action-dependent decisions, recovered regions, damage
 /// overlapping a node's lookahead reach) the subsystem falls back to
 /// ordinary reparsing of the affected region, degrading gracefully to a
 /// full reparse in the worst case.
 ///
-/// Sessions work in every mode combination: with or without the native
-/// module, heap or arena trees (arena sessions ping-pong two
-/// arenas so splices can copy out of the old tree while the new one is
-/// built), recovery on or off.
+/// A session has one engine configuration: it builds heap parse trees
+/// (reused subtrees are stolen out of the previous tree, see
+/// incremental/ReuseMetadata.h) and always runs the grammar's native module
+/// when one hash-matches it (GrammarBundle::compiledTables), the table walk
+/// otherwise. Both give byte-identical results; only recovery and reuse
+/// are options.
 ///
 /// Tokens borrow their text (lexer/Token.h): the session's token vector
 /// and its heap-tree leaves view the session's own text. Relexing
@@ -60,9 +62,6 @@ namespace incremental {
 /// Configuration for one session, fixed at construction.
 struct SessionOptions {
   bool Recover = true;     ///< error-recovering parses (error leaves etc.)
-  /// Use the registered native module when its payload hash matches.
-  bool UseCompiled = false;
-  bool UseArena = false;   ///< arena parse trees instead of heap nodes
   bool Reuse = true;       ///< false: full relex + reparse per edit (the
                            ///< baseline the benchmarks compare against)
   std::string StartRule;   ///< empty = the grammar's first rule
@@ -107,7 +106,7 @@ public:
   const std::vector<Token> &tokens() const { return IncLex.tokens(); }
   /// LISP rendering of the current tree ("" before the first reset).
   std::string treeText() const;
-  /// The current tree of a heap-tree session (null for arena sessions).
+  /// The current tree (null before the first reset).
   const ParseTree *heapTree() const { return HeapRoot.get(); }
   /// Diagnostics of the last parse (lexer and parser).
   const DiagnosticEngine &diags() const { return Diags; }
@@ -132,14 +131,7 @@ private:
   SessionOptions Opts;
   std::string Text;
   IncrementalLexer IncLex;
-  /// Rebuilt per parse; outlives the tree for arena rendering.
-  std::unique_ptr<TokenStream> Stream;
   std::unique_ptr<ParseTree> HeapRoot;
-  const ArenaParseTree *ArenaRoot = nullptr;
-  /// Arena sessions ping-pong: the new tree is built in the spare arena
-  /// while splices copy subtrees out of the live one, then roles swap.
-  Arena ArenaA, ArenaB;
-  bool LiveIsA = true;
   ParseRecord Record;
   DiagnosticEngine Diags;
   ParserStats Cumulative;
@@ -148,8 +140,8 @@ private:
 };
 
 /// The from-scratch oracle: tokenizes and parses \p Text exactly as the
-/// parse service would, with the same engine/tree/recovery configuration
-/// a session with \p Opts uses. The conformance tools compare a session
+/// parse service would, with the same engine and recovery configuration a
+/// session with \p Opts uses. The conformance tools compare a session
 /// against this after every edit.
 struct ScratchResult {
   bool ParseOk = false;

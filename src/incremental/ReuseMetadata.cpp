@@ -61,7 +61,7 @@ void ReuseRecorder::opaque() {
 }
 
 void ReuseRecorder::exitRule(int32_t Rule, int64_t NextIndex,
-                             ParseTree *HeapNode, ArenaParseTree *ArenaNode) {
+                             ParseTree *HeapNode) {
   if (Stack.empty())
     return;
   Frame F = Stack.back();
@@ -75,12 +75,10 @@ void ReuseRecorder::exitRule(int32_t Rule, int64_t NextIndex,
     P.Reach = std::max(P.Reach, F.Reach);
     P.Opaque |= F.Opaque;
   }
-  if (F.Opaque || NextIndex <= F.Start)
-    return; // tainted, or consumed nothing — never worth splicing
-  if (!HeapNode && !ArenaNode)
-    return;
+  if (F.Opaque || NextIndex <= F.Start || !HeapNode)
+    return; // tainted, consumed nothing, or no tree — never worth splicing
   Metas.push_back({F.Rule, F.Prec, F.Start, NextIndex, F.Reach, F.MetasMark,
-                   HeapNode, ArenaNode});
+                   HeapNode});
 }
 
 bool ReuseRecorder::tryReuse(int32_t Rule, int32_t Precedence,
@@ -127,30 +125,14 @@ bool ReuseRecorder::tryReuse(int32_t Rule, int32_t Precedence,
       return false;
   }
 
-  const size_t DstBase = Metas.size();
-  if (M.HeapNode && C.NewTokens) {
-    std::unique_ptr<ParseTree> Sub = stealHeap(M, Shift, BeforeDamage);
-    if (!Sub)
-      return false;
-    Out.Heap = std::move(Sub);
-    // The nodes moved wholesale, so carried metadata keeps its pointers.
-    carryRange(M.SubtreeBegin, MIdx, Shift);
-  } else if (M.ArenaNode && C.NewArena) {
-    CarryCur = M.SubtreeBegin;
-    CarryEnd = MIdx;
-    CarrySrcBegin = M.SubtreeBegin;
-    CarryDstBegin = DstBase;
-    ArenaParseTree *Copy = copyArena(*M.ArenaNode, Shift);
-    if (!Copy) {
-      // The aborted walk may have appended carried entries bound to nodes
-      // the discarded copy owns; drop them or they dangle.
-      Metas.resize(DstBase);
-      return false;
-    }
-    Out.InArena = Copy;
-  } else {
+  if (!C.NewTokens)
     return false;
-  }
+  std::unique_ptr<ParseTree> Sub = stealHeap(M, Shift, BeforeDamage);
+  if (!Sub)
+    return false;
+  Out.Heap = std::move(Sub);
+  // The nodes moved wholesale, so carried metadata keeps its pointers.
+  carryRange(M.SubtreeBegin, MIdx, Shift);
   Out.NextIndex = M.Next + Shift;
 
   // The engine skips the child's body, so no exitRule will fold the
@@ -195,41 +177,6 @@ void ReuseRecorder::refreshLeafTokens(ParseTree &N, int64_t Shift) {
   for (size_t I = 0, E = N.numChildren(); I != E; ++I)
     if (ParseTree *Ch = N.child(I))
       refreshLeafTokens(*Ch, Shift);
-}
-
-ArenaParseTree *ReuseRecorder::copyArena(const ArenaParseTree &Old,
-                                         int64_t Shift) {
-  if (Old.isToken()) {
-    // Clean nodes contain no error leaves (recovery poisons every
-    // ancestor of one); refuse the splice rather than trust that.
-    if (Old.isError())
-      return nullptr;
-    int64_t Idx = Old.tokenIndex() + Shift;
-    if (Idx < 0 || size_t(Idx) >= C.NewTokens->size())
-      return nullptr;
-    return ArenaParseTree::tokenNode(*C.NewArena, Idx);
-  }
-  ArenaParseTree *N = ArenaParseTree::ruleNode(*C.NewArena, Old.ruleIndex());
-  for (const ArenaParseTree *Ch = Old.firstChild(); Ch;
-       Ch = Ch->nextSibling()) {
-    ArenaParseTree *CC = copyArena(*Ch, Shift);
-    if (!CC)
-      return nullptr;
-    N->addChild(CC);
-  }
-  // The copy walk and the carried range share one post-order, so the next
-  // un-carried entry either binds this node or a node deeper in the walk.
-  if (CarryCur <= CarryEnd && C.Prev->Metas[CarryCur].ArenaNode == &Old) {
-    NodeMeta CM = C.Prev->Metas[CarryCur++];
-    CM.Start += Shift;
-    CM.Next += Shift;
-    CM.Reach += Shift;
-    CM.SubtreeBegin =
-        uint32_t(CM.SubtreeBegin - CarrySrcBegin + CarryDstBegin);
-    CM.ArenaNode = N;
-    Metas.push_back(CM);
-  }
-  return N;
 }
 
 void ReuseRecorder::carryRange(uint32_t B, uint32_t E, int64_t Shift) {

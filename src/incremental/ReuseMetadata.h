@@ -28,17 +28,13 @@
 /// start index back to old token coordinates (identity before the damage,
 /// shifted by the token delta after it) and requires the recorded window
 /// to be disjoint from the damaged range. The splice itself is built for
-/// the editor loop's per-edit budget:
-///
-///  - Heap trees are *stolen*: the old tree is about to be discarded
-///    anyway, so the subtree is detached from its old parent (the slot is
-///    left empty) and adopted wholesale — no allocation, no walk. Only
-///    when the retained suffix actually shifted (byte, token, or position
-///    delta) are the subtree's leaf tokens refreshed from the new token
-///    vector, and only for suffix splices; prefix tokens never change.
-///  - Arena trees are copied into the new arena (the old arena is
-///    recycled after the parse, so its nodes cannot survive), which is a
-///    bump-allocation walk with no per-node bookkeeping.
+/// the editor loop's per-edit budget: the subtree is *stolen*. The old
+/// tree is about to be discarded anyway, so the subtree is detached from
+/// its old parent (the slot is left empty) and adopted wholesale — no
+/// allocation, no walk. Only when the retained suffix actually shifted
+/// (byte, token, or position delta) are the subtree's leaf tokens
+/// refreshed from the new token vector, and only for suffix splices;
+/// prefix tokens never change.
 ///
 /// Metadata carries forward without any per-node map: exits append in
 /// post-order, so a node's subtree occupies the contiguous metadata range
@@ -52,8 +48,6 @@
 #define LLSTAR_INCREMENTAL_REUSEMETADATA_H
 
 #include "lexer/Token.h"
-#include "runtime/Arena.h"
-#include "runtime/ArenaParseTree.h"
 #include "runtime/ParseTree.h"
 #include "runtime/ReuseHooks.h"
 
@@ -81,7 +75,6 @@ struct NodeMeta {
   /// entries are exactly Metas[SubtreeBegin .. self], self last.
   uint32_t SubtreeBegin = 0;
   ParseTree *HeapNode = nullptr;
-  const ArenaParseTree *ArenaNode = nullptr;
 };
 
 /// All reuse metadata harvested from one parse, indexed for the next.
@@ -165,11 +158,9 @@ public:
     /// ones (IncrementalLexer::Damage::SuffixIdentical): suffix steals
     /// can then skip refreshing their leaf tokens entirely.
     bool SuffixIdentical = false;
-    /// The new master token vector; heap-mode suffix splices refresh
-    /// their leaf tokens from here when the suffix shifted.
+    /// The new master token vector; suffix splices refresh their leaf
+    /// tokens from here when the suffix shifted.
     const std::vector<Token> *NewTokens = nullptr;
-    /// Arena receiving arena-mode splice copies (null in heap mode).
-    Arena *NewArena = nullptr;
   };
 
   explicit ReuseRecorder(Config C) : C(C) {}
@@ -178,8 +169,8 @@ public:
                 Splice &Out) override;
   void enterRule(int32_t Rule, int32_t Precedence,
                  int64_t StartIndex) override;
-  void exitRule(int32_t Rule, int64_t NextIndex, ParseTree *HeapNode,
-                ArenaParseTree *ArenaNode) override;
+  void exitRule(int32_t Rule, int64_t NextIndex,
+                ParseTree *HeapNode) override;
   void lookahead(int64_t MaxIndexInclusive) override;
   void opaque() override;
 
@@ -204,22 +195,14 @@ private:
                                        bool BeforeDamage);
   /// Rewrites every token leaf from the new token vector, shifted.
   void refreshLeafTokens(ParseTree &N, int64_t Shift);
-  ArenaParseTree *copyArena(const ArenaParseTree &Old, int64_t Shift);
   /// Bulk-carries the previous record's metadata range [B, E] (a spliced
   /// subtree, post-order) into Metas, re-based by \p Shift. Node pointers
-  /// are kept — heap steals move the nodes wholesale.
+  /// are kept — steals move the nodes wholesale.
   void carryRange(uint32_t B, uint32_t E, int64_t Shift);
 
   Config C;
   std::vector<Frame> Stack;
   std::vector<NodeMeta> Metas;
-  /// Cursor state for arena copies: the next previous-record entry of the
-  /// in-flight splice range. The copy walk and the range share one
-  /// post-order, so binding carried metadata to fresh nodes is a pointer
-  /// comparison per rule node instead of a map lookup.
-  uint32_t CarryCur = 0, CarryEnd = 0;
-  uint32_t CarrySrcBegin = 0;
-  size_t CarryDstBegin = 0;
 };
 
 } // namespace incremental

@@ -577,9 +577,10 @@ void Daemon::handleEdit(const std::shared_ptr<Connection> &Conn,
       return;
     }
     incremental::SessionOptions SO;
+    // EditModeCompiled and EditModeArena are accepted and ignored: every
+    // session runs the hash-matched native module and builds heap trees,
+    // and its replies are the same in every mode.
     SO.Recover = Args.Mode & EditModeRecover;
-    SO.UseCompiled = Args.Mode & EditModeCompiled;
-    SO.UseArena = Args.Mode & EditModeArena;
     SO.Reuse = !(Args.Mode & EditModeNoReuse);
     SO.StartRule = Args.StartRule;
     auto Fresh = std::make_unique<incremental::IncrementalSession>(

@@ -242,11 +242,14 @@ constexpr uint8_t EditActionReset = 0; ///< (re)initialize with NewText
 constexpr uint8_t EditActionApply = 1; ///< replace OldLen bytes at Offset
 constexpr uint8_t EditActionClose = 2; ///< discard the session
 
-/// Session mode bits, honored at Reset (session creation) only.
+/// Session mode bits, honored at Reset (session creation) only. Any value
+/// up to 0xF is valid. EditModeCompiled and EditModeArena are accepted and
+/// ignored: a session always runs the hash-matched native module and builds
+/// heap trees, and tree text is byte-identical in every mode, so clients
+/// that still set them get the same replies.
 constexpr uint8_t EditModeRecover = 1;  ///< error-recovering parses
-/// Use the registered native module when its payload hash matches.
-constexpr uint8_t EditModeCompiled = 2;
-constexpr uint8_t EditModeArena = 4;    ///< arena parse trees
+constexpr uint8_t EditModeCompiled = 2; ///< accepted and ignored
+constexpr uint8_t EditModeArena = 4;    ///< accepted and ignored
 constexpr uint8_t EditModeNoReuse = 8;  ///< full reparse per edit (baseline)
 
 struct EditArgs {

@@ -135,13 +135,10 @@ bool LLStarParser::runRule(int32_t RuleIndex, int32_t Precedence,
 
   // Incremental reparse: splice a recorded subtree instead of running the
   // body when the subscriber vouches for it (see runtime/ReuseHooks.h).
-  if (Opts.Hooks && !speculating() && Parent) {
+  if (Opts.Hooks && !speculating() && Parent.Heap) {
     ReuseHooks::Splice Sp;
     if (Opts.Hooks->tryReuse(RuleIndex, Precedence, Stream.index(), Sp)) {
-      if (Parent.Heap)
-        Parent.Heap->addChild(std::move(Sp.Heap));
-      else if (Parent.InArena)
-        Parent.InArena->addChild(Sp.InArena);
+      Parent.Heap->addChild(std::move(Sp.Heap));
       Stream.seek(Sp.NextIndex);
       InsertionsSinceConsume = 0;
       ++Stats.NodesReused;
@@ -160,7 +157,7 @@ bool LLStarParser::runRule(int32_t RuleIndex, int32_t Precedence,
   bool Ok = runRuleBody(RuleIndex, Precedence, Node);
 
   if (Hooked)
-    Opts.Hooks->exitRule(RuleIndex, Stream.index(), Node.Heap, Node.InArena);
+    Opts.Hooks->exitRule(RuleIndex, Stream.index(), Node.Heap);
 
   if (UseMemo)
     Memo.set(Key, Ok ? Stream.index() : -1);

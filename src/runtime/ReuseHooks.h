@@ -39,7 +39,6 @@
 namespace llstar {
 
 class ParseTree;
-class ArenaParseTree;
 
 /// Abstract subscriber for incremental-reparse instrumentation. All calls
 /// happen on the parsing thread; implementations need no locking unless
@@ -48,12 +47,11 @@ class ReuseHooks {
 public:
   virtual ~ReuseHooks() = default;
 
-  /// A successful reuse probe: exactly one of Heap/InArena is set, matching
-  /// the parser's tree mode, and NextIndex is the stream index just past
-  /// the subtree's last consumed token.
+  /// A successful reuse probe: the heap subtree to attach, and the stream
+  /// index just past its last consumed token. Splices are served only into
+  /// heap trees.
   struct Splice {
     std::unique_ptr<ParseTree> Heap;
-    ArenaParseTree *InArena = nullptr;
     int64_t NextIndex = -1;
   };
 
@@ -70,10 +68,10 @@ public:
 
   /// The invocation announced by the matching enterRule finished (possibly
   /// after recovery resync). \p NextIndex is the stream index after the
-  /// rule; the node pointers identify the freshly built tree node (null
-  /// when tree building is off).
-  virtual void exitRule(int32_t Rule, int64_t NextIndex, ParseTree *HeapNode,
-                        ArenaParseTree *ArenaNode) = 0;
+  /// rule; \p HeapNode is the freshly built heap tree node (null when the
+  /// parse builds no heap tree).
+  virtual void exitRule(int32_t Rule, int64_t NextIndex,
+                        ParseTree *HeapNode) = 0;
 
   /// A prediction event examined tokens up to stream index
   /// \p MaxIndexInclusive (an over-approximation by at most one token).

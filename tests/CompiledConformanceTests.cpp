@@ -17,8 +17,7 @@
 //     without the native module.
 //   - Through the checked-in native modules: every shipped grammar must
 //     hash-match its registered module (stale modules fail here *and* in
-//     the CI regen-diff gate), the module lexer must tokenize identically
-//     to the spec-compiled lexer, and parses through the module's native
+//     the CI regen-diff gate), and parses through the module's native
 //     predictors and rule bodies must match the table walk alone.
 //   - Through every AnalyzedGrammar construction path: analyze, fromParts,
 //     deserializeGrammar and bundle bytes all carry tables and parse alike.
@@ -343,9 +342,7 @@ TEST(CompiledConformance, GoldenRecoveredTreesMatchSnapshots) {
         << "recovery diverges from the committed golden snapshot";
 
     compiled::CompiledResolution Res = shippedModule(*AG);
-    auto ModuleLex = compiled::makeModuleLexer(*Res.Module);
-    Capture Native = capture(*AG, C.Input, /*Recover=*/true,
-                             {Res.native(), ModuleLex.get()});
+    Capture Native = capture(*AG, C.Input, /*Recover=*/true, {Res.native()});
     expectIdentical(Walk, Native, C.Grammar);
   }
 }
@@ -365,10 +362,8 @@ TEST(CompiledConformance, ShippedModulesHashMatchAndAgree) {
     EXPECT_NE(Res.Native, nullptr);
     EXPECT_NE(Res.Rules, nullptr);
 
-    // The module lexer must tokenize exactly like the spec-compiled one,
-    // over decision-covering minimal sentences (guaranteed valid, so the
+    // Decision-covering minimal sentences (guaranteed valid, so the
     // generated predictors all run hot).
-    auto ModuleLex = compiled::makeModuleLexer(*Res.Module);
     fuzz::SentenceGen Gen(*AG);
     std::vector<std::string> Inputs;
     for (const auto &Seed : Gen.seeds())
@@ -380,24 +375,12 @@ TEST(CompiledConformance, ShippedModulesHashMatchAndAgree) {
     // native bodies into the engine's reporting and recovery paths.
     Inputs.push_back(C.Input);
     for (const std::string &Input : Inputs) {
-      DiagnosticEngine D1;
-      std::vector<Token> A = ModuleLex->tokenize(Input, D1);
-      std::vector<Token> B = lex(*AG, Input);
-      ASSERT_EQ(A.size(), B.size()) << Input;
-      for (size_t I = 0; I < A.size(); ++I) {
-        EXPECT_EQ(A[I].Type, B[I].Type);
-        EXPECT_EQ(A[I].Text, B[I].Text);
-        EXPECT_EQ(A[I].Loc.Line, B[I].Loc.Line);
-        EXPECT_EQ(A[I].Loc.Column, B[I].Loc.Column);
-      }
-
       // Table walk alone vs the same tables with the module's native
-      // predictors, generated rule bodies and lexer (what the tools pass).
+      // predictors and generated rule bodies (what the tools pass).
       for (bool Recover : {false, true}) {
         std::string Context = std::string(C.Grammar) + " <" + Input + ">";
         expectIdentical(capture(*AG, Input, Recover),
-                        capture(*AG, Input, Recover,
-                                {Res.native(), ModuleLex.get()}),
+                        capture(*AG, Input, Recover, {Res.native()}),
                         Context);
       }
     }

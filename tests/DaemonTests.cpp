@@ -779,7 +779,7 @@ TEST(DaemonTest, EditSessionsMatchInProcessScratchParses) {
   DiagnosticEngine Diags;
   auto Bundle = makeGrammarBundle(ExprGrammar, Diags);
   ASSERT_TRUE(Bundle) << Diags.str();
-  incremental::SessionOptions SO; // recover, interpreted, heap — mode bit 1
+  incremental::SessionOptions SO; // recover — mode bit 1
   incremental::IncrementalSession Local(Bundle, SO);
 
   wire::EditArgs Args;
@@ -850,6 +850,79 @@ TEST(DaemonTest, EditSessionsMatchInProcessScratchParses) {
   EXPECT_EQ(Json.find("\"tokensRelexed\":0,"), std::string::npos) << Json;
 }
 
+TEST(DaemonTest, IgnoredEditModeBitsLeaveRepliesUnchanged) {
+  // EditModeCompiled and EditModeArena are accepted and ignored: a session
+  // reset with them answers byte for byte like one reset without them.
+  Harness H;
+  ASSERT_TRUE(H.Ok);
+  uint64_t Hash = loadOrFail(H.Client, ExprGrammar);
+
+  wire::EditArgs Plain;
+  Plain.SessionId = 1;
+  Plain.Action = wire::EditActionReset;
+  Plain.Mode = wire::EditModeRecover;
+  Plain.BundleHash = Hash;
+  Plain.WantTree = true;
+  Plain.NewText = "1 + 2 * (3 + 4) + 5";
+  wire::EditArgs Flagged = Plain;
+  Flagged.SessionId = 2;
+  Flagged.Mode = wire::EditModeRecover | wire::EditModeCompiled |
+                 wire::EditModeArena;
+
+  auto ExpectSameReply = [](const wire::Message &A, const wire::Message &B,
+                            int Step) {
+    SCOPED_TRACE("step " + std::to_string(Step));
+    ASSERT_EQ(A.Hdr.Op, wire::Opcode::EditReply)
+        << wireErrorName(A.Error.Code) << ": " << A.Error.Message;
+    ASSERT_EQ(B.Hdr.Op, wire::Opcode::EditReply)
+        << wireErrorName(B.Error.Code) << ": " << B.Error.Message;
+    EXPECT_EQ(A.Edit.EditError, B.Edit.EditError);
+    EXPECT_EQ(A.Edit.Status, B.Edit.Status);
+    EXPECT_EQ(A.Edit.NumTokens, B.Edit.NumTokens);
+    EXPECT_EQ(A.Edit.TreeText, B.Edit.TreeText);
+    EXPECT_EQ(A.Edit.DiagText, B.Edit.DiagText);
+    EXPECT_EQ(A.Edit.TreeNodes, B.Edit.TreeNodes);
+    EXPECT_EQ(A.Edit.ErrorLeaves, B.Edit.ErrorLeaves);
+    EXPECT_EQ(A.Edit.NodesReused, B.Edit.NodesReused);
+    EXPECT_EQ(A.Edit.TokensRelexed, B.Edit.TokensRelexed);
+    EXPECT_EQ(A.Edit.DecisionsReparsed, B.Edit.DecisionsReparsed);
+  };
+  ExpectSameReply(editOrFail(H.Client, Plain), editOrFail(H.Client, Flagged),
+                  0);
+
+  // Ten edits, two of which break the input so recovery runs.
+  struct {
+    uint64_t Offset, OldLen;
+    const char *NewText;
+  } Edits[] = {
+      {4, 1, "77"},   {0, 0, "("},      {0, 1, ""},   {9, 1, "8"},
+      {5, 0, " * "},  {5, 3, ""},       {0, 0, "9 + "}, {2, 1, "-"},
+      {2, 1, "+"},    {22, 0, " * 6"},
+  };
+  Plain.Action = Flagged.Action = wire::EditActionApply;
+  int Step = 0;
+  for (const auto &E : Edits) {
+    Plain.Offset = Flagged.Offset = E.Offset;
+    Plain.OldLen = Flagged.OldLen = E.OldLen;
+    Plain.NewText = Flagged.NewText = E.NewText;
+    wire::Message A = editOrFail(H.Client, Plain);
+    wire::Message B = editOrFail(H.Client, Flagged);
+    ExpectSameReply(A, B, ++Step);
+    EXPECT_EQ(A.Edit.EditError, 0) << "step " << Step;
+  }
+  EXPECT_EQ(Step, 10);
+
+  // The daemon serves the next request on the same connection.
+  wire::ParseArgs Args;
+  Args.BundleHash = Hash;
+  Args.Input = "1 + 2";
+  wire::Message Reply;
+  std::string Err;
+  ASSERT_TRUE(H.Client.parse(Args, false, Reply, &Err)) << Err;
+  ASSERT_EQ(Reply.Hdr.Op, wire::Opcode::ParseReply);
+  EXPECT_EQ(Reply.Parse.Status, uint8_t(ParseStatus::Ok));
+}
+
 TEST(DaemonTest, EditSessionLifecycleErrors) {
   Harness H;
   ASSERT_TRUE(H.Ok);
@@ -918,14 +991,13 @@ TEST(DaemonTest, ConcurrentConnectionsRunIndependentEditSessions) {
         ++Failures;
         return;
       }
-      incremental::SessionOptions SO;
-      SO.UseCompiled = (C % 2) != 0;
-      incremental::IncrementalSession Local(Bundle, SO);
+      incremental::IncrementalSession Local(Bundle,
+                                           incremental::SessionOptions());
       wire::EditArgs Args;
       Args.SessionId = 1;
       Args.Action = wire::EditActionReset;
-      Args.Mode = wire::EditModeRecover |
-                  (SO.UseCompiled ? wire::EditModeCompiled : 0);
+      // Odd connections also set the ignored engine bit.
+      Args.Mode = wire::EditModeRecover | (C % 2 ? wire::EditModeCompiled : 0);
       Args.BundleHash = Hash;
       Args.NewText = std::to_string(C) + " + 1 * (2 + 3)";
       Local.reset(Args.NewText);

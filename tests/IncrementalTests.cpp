@@ -20,6 +20,8 @@
 #include "incremental/IncrementalSession.h"
 #include "service/GrammarBundleCache.h"
 
+#include "CompiledManifest.h"
+
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -52,24 +54,15 @@ std::shared_ptr<const GrammarBundle> bundleOrFail(const char *Text) {
   return Bundle;
 }
 
-/// All eight engine/tree/recovery combinations.
+/// Both session modes: recovery on and off.
 std::vector<SessionOptions> allModes() {
-  std::vector<SessionOptions> Modes;
-  for (int I = 0; I < 8; ++I) {
-    SessionOptions SO;
-    SO.UseCompiled = (I & 1) != 0;
-    SO.UseArena = (I & 2) != 0;
-    SO.Recover = (I & 4) == 0;
-    Modes.push_back(SO);
-  }
+  std::vector<SessionOptions> Modes(2);
+  Modes[1].Recover = false;
   return Modes;
 }
 
 std::string modeName(const SessionOptions &SO) {
-  std::string M = SO.UseCompiled ? "native" : "tables";
-  M += SO.UseArena ? "+arena" : "+heap";
-  M += SO.Recover ? "+recover" : "+strict";
-  return M;
+  return SO.Recover ? "recover" : "strict";
 }
 
 /// The oracle check: the session's observable state, and the counts its
@@ -283,20 +276,17 @@ TEST(IncrementalSessionTest, SmallEditsOnLargeInputReuseSubtrees) {
   for (int I = 0; I < 200; ++I)
     Big += (I ? " + (" : "(") + std::to_string(I) + " * " +
            std::to_string(I + 1) + ")";
-  for (bool Compiled : {false, true}) {
-    SessionOptions SO;
-    SO.UseCompiled = Compiled;
-    IncrementalSession S(Bundle, SO);
-    ASSERT_TRUE(S.reset(Big).ParseOk);
-    // A one-byte edit in the middle: almost every paren group is disjoint
-    // from the damage window and must be spliced, not reparsed.
-    EditOutcome O = S.applyEdit({int64_t(Big.size() / 2), 1, "9"});
-    ASSERT_EQ(O.Error, EditScriptError::None);
-    EXPECT_GT(O.NodesReused, 100) << modeName(SO);
-    EXPECT_LT(O.TokensRelexed, 10) << modeName(SO);
-    expectMatchesScratch(S, O, SO, "small edit on large input");
-    EXPECT_EQ(S.stats().NodesReused, O.NodesReused);
-  }
+  const SessionOptions SO;
+  IncrementalSession S(Bundle, SO);
+  ASSERT_TRUE(S.reset(Big).ParseOk);
+  // A one-byte edit in the middle: almost every paren group is disjoint
+  // from the damage window and must be spliced, not reparsed.
+  EditOutcome O = S.applyEdit({int64_t(Big.size() / 2), 1, "9"});
+  ASSERT_EQ(O.Error, EditScriptError::None);
+  EXPECT_GT(O.NodesReused, 100);
+  EXPECT_LT(O.TokensRelexed, 10);
+  expectMatchesScratch(S, O, SO, "small edit on large input");
+  EXPECT_EQ(S.stats().NodesReused, O.NodesReused);
 }
 
 TEST(IncrementalSessionTest, ApplyBatchSharesOneSnapshot) {
@@ -381,32 +371,29 @@ b : 'w' | 'z' ;
 
 TEST(IncrementalSessionTest, EditsInPanicRecoveredRegionsStayConsistent) {
   auto Bundle = bundleOrFail(ExprGrammar);
-  for (bool Arena : {false, true}) {
-    SessionOptions SO;
-    SO.Recover = true;
-    SO.UseArena = Arena;
-    IncrementalSession S(Bundle, SO);
-    // `* *` forces panic recovery mid-expression; then edit inside, just
-    // before, and just after the recovered region.
-    EditOutcome O = S.reset("1 + * * 2 + 3");
-    EXPECT_FALSE(S.ok());
-    expectMatchesScratch(S, O, SO, "broken reset");
-    O = S.applyEdit({4, 1, "9"});
-    ASSERT_EQ(O.Error, EditScriptError::None);
-    expectMatchesScratch(S, O, SO, "edit inside recovered region");
-    O = S.applyEdit({0, 1, "("});
-    ASSERT_EQ(O.Error, EditScriptError::None);
-    expectMatchesScratch(S, O, SO, "edit before recovered region");
-    O = S.applyEdit({int64_t(S.text().size()), 0, " +"});
-    ASSERT_EQ(O.Error, EditScriptError::None);
-    expectMatchesScratch(S, O, SO, "edit after recovered region");
-    // Repair the input completely: the session must converge back to a
-    // clean parse identical to scratch.
-    O = S.applyEdit({0, int64_t(S.text().size()), "1 + 2 * 3"});
-    ASSERT_EQ(O.Error, EditScriptError::None);
-    EXPECT_TRUE(S.ok());
-    expectMatchesScratch(S, O, SO, "repaired");
-  }
+  SessionOptions SO;
+  SO.Recover = true;
+  IncrementalSession S(Bundle, SO);
+  // `* *` forces panic recovery mid-expression; then edit inside, just
+  // before, and just after the recovered region.
+  EditOutcome O = S.reset("1 + * * 2 + 3");
+  EXPECT_FALSE(S.ok());
+  expectMatchesScratch(S, O, SO, "broken reset");
+  O = S.applyEdit({4, 1, "9"});
+  ASSERT_EQ(O.Error, EditScriptError::None);
+  expectMatchesScratch(S, O, SO, "edit inside recovered region");
+  O = S.applyEdit({0, 1, "("});
+  ASSERT_EQ(O.Error, EditScriptError::None);
+  expectMatchesScratch(S, O, SO, "edit before recovered region");
+  O = S.applyEdit({int64_t(S.text().size()), 0, " +"});
+  ASSERT_EQ(O.Error, EditScriptError::None);
+  expectMatchesScratch(S, O, SO, "edit after recovered region");
+  // Repair the input completely: the session must converge back to a
+  // clean parse identical to scratch.
+  O = S.applyEdit({0, int64_t(S.text().size()), "1 + 2 * 3"});
+  ASSERT_EQ(O.Error, EditScriptError::None);
+  EXPECT_TRUE(S.ok());
+  expectMatchesScratch(S, O, SO, "repaired");
 }
 
 TEST(IncrementalSessionTest, NoReuseBaselineMatchesToo) {
@@ -463,8 +450,12 @@ TEST(IncrementalSessionTest, LongSessionCountsMatchAFreshWalk) {
   // bring counts stored edits ago. Hundreds of edits over one document let
   // that reuse compound: typing, deleting, newlines and pasted statements,
   // each undone a few edits later.
+  // Sessions run the shipped native module, so this also covers generated
+  // rule bodies under reuse hooks.
+  compiled::registerShippedGrammars();
   auto Bundle = shippedBundle("lua.g");
   ASSERT_TRUE(Bundle);
+  ASSERT_TRUE(Bundle->compiledTables().fromModule());
   const std::string Doc = luaDocument(20 * 1024);
   for (const SessionOptions &SO : allModes()) {
     IncrementalSession S(Bundle, SO);
@@ -502,8 +493,10 @@ TEST(IncrementalSessionTest, LongSessionCountsMatchAFreshWalk) {
       }
       O = S.applyEdit(E);
       ASSERT_EQ(O.Error, EditScriptError::None);
-      if (const ParseTree *T = S.heapTree()) {
+      {
         SCOPED_TRACE(modeName(SO) + " edit " + std::to_string(Step));
+        const ParseTree *T = S.heapTree();
+        ASSERT_TRUE(T);
         ASSERT_EQ(O.TreeNodes, int64_t(T->size()));
         ASSERT_EQ(O.ErrorLeaves, int64_t(T->numErrorNodes()));
       }
@@ -606,8 +599,7 @@ void expectViewsCurrentText(const IncrementalSession &S, const char *Where) {
     else if (!ViewsOwnSpan(T))
       return;
   }
-  if (!S.heapTree())
-    return;
+  ASSERT_TRUE(S.heapTree());
   std::vector<const ParseTree *> Work = {S.heapTree()};
   while (!Work.empty()) {
     const ParseTree *N = Work.back();
@@ -629,13 +621,6 @@ void expectViewsCurrentText(const IncrementalSession &S, const char *Where) {
   }
 }
 
-/// Heap and arena trees, interpreted, with recovery.
-std::vector<SessionOptions> heapAndArena() {
-  SessionOptions Heap, Arena;
-  Arena.UseArena = true;
-  return {Heap, Arena};
-}
-
 TEST(IncrementalLifetimeTest, PasteThatMovesTheTextRebasesEveryView) {
   auto Bundle = shippedBundle("lua.g");
   ASSERT_TRUE(Bundle);
@@ -645,35 +630,34 @@ TEST(IncrementalLifetimeTest, PasteThatMovesTheTextRebasesEveryView) {
   for (int I = 0; Paste.size() < (1u << 20); ++I)
     Paste += I % 64 ? "-- filler line of a pasted block of lua\n"
                     : "z = z + " + std::to_string(I) + "\n";
-  for (const SessionOptions &SO : heapAndArena()) {
-    IncrementalSession S(Bundle, SO);
-    ASSERT_TRUE(S.reset("local x = 1\nprint(x)\nlocal y = x\n").ParseOk);
-    expectViewsCurrentText(S, "reset");
+  const SessionOptions SO;
+  IncrementalSession S(Bundle, SO);
+  ASSERT_TRUE(S.reset("local x = 1\nprint(x)\nlocal y = x\n").ParseOk);
+  expectViewsCurrentText(S, "reset");
 
-    const char *Before = S.text().data();
-    const int64_t At = int64_t(S.text().find("print"));
-    EditOutcome O = S.applyEdit({At, 0, Paste});
+  const char *Before = S.text().data();
+  const int64_t At = int64_t(S.text().find("print"));
+  EditOutcome O = S.applyEdit({At, 0, Paste});
+  ASSERT_EQ(O.Error, EditScriptError::None);
+  ASSERT_NE(S.text().data(), Before) << "the paste did not move the text";
+  expectViewsCurrentText(S, "after paste");
+  expectMatchesScratch(S, O, SO, "after paste");
+
+  // Edits before and after the pasted block, in place and growing; each
+  // offset is taken from the text as it stands.
+  auto LocalY = [&] { return int64_t(S.text().rfind("local y")); };
+  const std::function<Edit()> Steps[] = {
+      [&] { return Edit{6, 1, "xx"}; },
+      [&] { return Edit{LocalY() + 6, 1, "yy"}; },
+      [&] { return Edit{0, 0, "-- head\n"}; },
+      [&] { return Edit{LocalY() + 8, 0, "\n"}; },
+      [&] { return Edit{int64_t(S.text().size()), 0, "w = 2\n"}; },
+  };
+  for (const auto &Step : Steps) {
+    O = S.applyEdit(Step());
     ASSERT_EQ(O.Error, EditScriptError::None);
-    ASSERT_NE(S.text().data(), Before) << "the paste did not move the text";
-    expectViewsCurrentText(S, "after paste");
-    expectMatchesScratch(S, O, SO, "after paste");
-
-    // Edits before and after the pasted block, in place and growing; each
-    // offset is taken from the text as it stands.
-    auto LocalY = [&] { return int64_t(S.text().rfind("local y")); };
-    const std::function<Edit()> Steps[] = {
-        [&] { return Edit{6, 1, "xx"}; },
-        [&] { return Edit{LocalY() + 6, 1, "yy"}; },
-        [&] { return Edit{0, 0, "-- head\n"}; },
-        [&] { return Edit{LocalY() + 8, 0, "\n"}; },
-        [&] { return Edit{int64_t(S.text().size()), 0, "w = 2\n"}; },
-    };
-    for (const auto &Step : Steps) {
-      O = S.applyEdit(Step());
-      ASSERT_EQ(O.Error, EditScriptError::None);
-      expectViewsCurrentText(S, "edit around the paste");
-      expectMatchesScratch(S, O, SO, "edit around the paste");
-    }
+    expectViewsCurrentText(S, "edit around the paste");
+    expectMatchesScratch(S, O, SO, "edit around the paste");
   }
 }
 
@@ -683,25 +667,24 @@ TEST(IncrementalLifetimeTest, EditsInsideALongJsonString) {
   const std::string Body(10000, 'q');
   const std::string Doc = "{\"k\": \"" + Body + "\", \"n\": [1, 2]}";
   const int64_t Mid = int64_t(Doc.find('q')) + 5000;
-  for (const SessionOptions &SO : heapAndArena()) {
-    IncrementalSession S(Bundle, SO);
-    ASSERT_TRUE(S.reset(Doc).ParseOk);
-    // The string token's walk runs to its closing quote and one byte past,
-    // so every edit inside the run damages it.
-    const Edit Steps[] = {
-        {Mid, 1, "r"},       // overtype: same length, suffix identical
-        {Mid, 0, "ss"},      // grow inside the run
-        {Mid, 2, ""},        // shrink back
-        {Mid, 0, "\""},      // a quote splits the string: recovery
-        {Mid, 1, ""},        // and joins it again
-        {Mid, 0, "\n\t"},    // control bytes inside the string body
-    };
-    for (const Edit &E : Steps) {
-      EditOutcome O = S.applyEdit(E);
-      ASSERT_EQ(O.Error, EditScriptError::None);
-      expectViewsCurrentText(S, "edit inside the string");
-      expectMatchesScratch(S, O, SO, "edit inside the string");
-    }
+  const SessionOptions SO;
+  IncrementalSession S(Bundle, SO);
+  ASSERT_TRUE(S.reset(Doc).ParseOk);
+  // The string token's walk runs to its closing quote and one byte past,
+  // so every edit inside the run damages it.
+  const Edit Steps[] = {
+      {Mid, 1, "r"},       // overtype: same length, suffix identical
+      {Mid, 0, "ss"},      // grow inside the run
+      {Mid, 2, ""},        // shrink back
+      {Mid, 0, "\""},      // a quote splits the string: recovery
+      {Mid, 1, ""},        // and joins it again
+      {Mid, 0, "\n\t"},    // control bytes inside the string body
+  };
+  for (const Edit &E : Steps) {
+    EditOutcome O = S.applyEdit(E);
+    ASSERT_EQ(O.Error, EditScriptError::None);
+    expectViewsCurrentText(S, "edit inside the string");
+    expectMatchesScratch(S, O, SO, "edit inside the string");
   }
 }
 

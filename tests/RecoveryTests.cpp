@@ -484,7 +484,8 @@ struct GoldenCase {
   const char *Input;   ///< 1-3 injected errors
 };
 
-// Regenerate with: LLSTAR_REGEN_GOLDEN=1 ./llstar_tests \
+// Regenerate with:
+//   LLSTAR_REGEN_GOLDEN=1 ./llstar_tests
 //   --gtest_filter='Recovery.GoldenTreesForShippedGrammars'
 const GoldenCase GoldenCases[] = {
     {"csv", "a,b\n\"x\" y,c\n"},              // junk after a quoted field

@@ -64,12 +64,14 @@ int usage() {
       "  --edit-script F   incremental mode: replay the JSON edit trace F\n"
       "                    against one incremental session (single .g\n"
       "                    grammar; inputs come from the trace, not operands).\n"
+      "                    The session runs the grammar's hash-matched\n"
+      "                    native module when one is registered, so\n"
+      "                    --compiled changes nothing here.\n"
       "                    Prints per-batch timing plus reuse counters;\n"
       "                    --json-metrics then reports the session's parser\n"
       "                    stats (nodesReused / tokensRelexed /\n"
       "                    decisionsReparsed included)\n"
       "  --no-reuse        edit-script mode: full reparse per edit (baseline)\n"
-      "  --arena           edit-script mode: arena parse trees\n"
       "  --quiet           per-input lines off; summary only\n");
   return 2;
 }
@@ -130,7 +132,6 @@ struct Options {
   std::string StatsOut;
   std::string EditScriptPath;
   bool NoReuse = false;
-  bool UseArena = false;
   bool Quiet = false;
 };
 
@@ -179,8 +180,6 @@ int runEditScript(std::shared_ptr<const GrammarBundle> Bundle,
 
   incremental::SessionOptions SO;
   SO.Recover = O.Recover;
-  SO.UseCompiled = O.UseCompiled;
-  SO.UseArena = O.UseArena;
   SO.Reuse = !O.NoReuse;
   SO.StartRule = O.StartRule;
   incremental::IncrementalSession Session(Bundle, SO);
@@ -289,8 +288,6 @@ int main(int Argc, char **Argv) {
       O.EditScriptPath = Args[++I];
     else if (A == "--no-reuse")
       O.NoReuse = true;
-    else if (A == "--arena")
-      O.UseArena = true;
     else if (A == "--quiet")
       O.Quiet = true;
     else if (!A.empty() && A[0] == '-' && A != "-")
@@ -349,8 +346,7 @@ int main(int Argc, char **Argv) {
                    "error: --edit-script needs exactly one grammar\n");
       return 2;
     }
-    if (O.UseCompiled)
-      compiled::registerShippedGrammars();
+    compiled::registerShippedGrammars();
     return runEditScript(Bundles.front(), O);
   }
 

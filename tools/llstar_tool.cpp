@@ -97,8 +97,8 @@ void printUsage(std::FILE *Out) {
       "      analyze once and write a versioned grammar bundle that\n"
       "      llstar-batch and the ParseService load without re-analysis\n"
       "  compile <grammar.g> --emit-cpp -o <out.cpp>\n"
-      "      emit a self-contained native module: switch predictors,\n"
-      "      rule bodies and lexer tables that accelerate the parser\n"
+      "      emit a self-contained native module: switch predictors\n"
+      "      and rule bodies that accelerate the parser\n"
       "      (see grammars/compiled/ for the checked-in registry)\n"
       "  generate <grammar.g> <ClassName> [-o <dir>]\n"
       "      emit <dir>/<ClassName>.h/.cpp embedding the precompiled\n"
@@ -347,16 +347,7 @@ int cmdParse(const std::vector<std::string> &Args) {
     Compiled = compiled::resolveCompiledTables(*AG, serializeGrammar(*AG, L));
   }
 
-  std::vector<Token> Toks;
-  if (Compiled.fromModule()) {
-    // Hash-matched module: tokenize with its embedded lexer tables (same
-    // DFA the spec compiles to; exercises the generated data end to end).
-    Toks = compiled::makeModuleLexer(*Compiled.Module)
-               ->tokenize(Input, LexDiags);
-  } else {
-    Toks = L.tokenize(Input, LexDiags);
-  }
-  TokenStream Stream(std::move(Toks));
+  TokenStream Stream(L.tokenize(Input, LexDiags));
   printDiags(LexDiags);
   if (LexDiags.hasErrors())
     return ExitErrors;
@@ -449,11 +440,10 @@ int cmdCompile(const std::vector<std::string> &Args) {
     }
     Out << Module.Source;
     std::printf("wrote %s (%zu bytes, %s, %d/%d decisions native, "
-                "%d/%d rules native, %zu lexer table bytes)\n",
+                "%d/%d rules native)\n",
                 OutPath.c_str(), Module.Source.size(),
                 Module.SymbolName.c_str(), Module.NumNativePredictors,
-                Module.NumDecisions, Module.NumNativeRules, Module.NumRules,
-                Module.TableBytes);
+                Module.NumDecisions, Module.NumNativeRules, Module.NumRules);
     return WError && Warnings ? ExitWarnings : ExitClean;
   }
   std::string Bundle = writeBundle(*AG);
