@@ -14,7 +14,8 @@
 // reports the median and interquartile range. `--json FILE` records the
 // results with the build type and git revision; BENCH_compiled.json at
 // the repo root is a committed baseline from a Release build. Every shipped grammar is expected to resolve
-// its checked-in module (hash gate open); the report says so per grammar.
+// the module the build emitted from it (hash gate open); the report says
+// so per grammar.
 //
 //   bench_compiled [--units N] [--repeat N] [--json FILE]
 //

@@ -5,20 +5,18 @@
 namespace llstar {
 namespace compiled {
 
-// Defined in the generated <grammar>_compiled.cpp modules alongside.
-extern const CompiledGrammarModule kModule_Csv;
-extern const CompiledGrammarModule kModule_Dot;
-extern const CompiledGrammarModule kModule_Ini;
-extern const CompiledGrammarModule kModule_Json;
-extern const CompiledGrammarModule kModule_Lambda;
-extern const CompiledGrammarModule kModule_Lua;
-extern const CompiledGrammarModule kModule_Sexpr;
+// ShippedGrammars.inc, written by CMakeLists.txt alongside, holds one
+// LLSTAR_SHIPPED_GRAMMAR(<Name>) line per shipped grammar; the module the
+// build emits from that grammar defines kModule_<Name>.
+#define LLSTAR_SHIPPED_GRAMMAR(Name)                                          \
+  extern const CompiledGrammarModule kModule_##Name;
+#include "ShippedGrammars.inc"
+#undef LLSTAR_SHIPPED_GRAMMAR
 
 void registerShippedGrammars() {
-  for (const CompiledGrammarModule *M :
-       {&kModule_Csv, &kModule_Dot, &kModule_Ini, &kModule_Json,
-        &kModule_Lambda, &kModule_Lua, &kModule_Sexpr})
-    registerCompiledModule(*M);
+#define LLSTAR_SHIPPED_GRAMMAR(Name) registerCompiledModule(kModule_##Name);
+#include "ShippedGrammars.inc"
+#undef LLSTAR_SHIPPED_GRAMMAR
 }
 
 } // namespace compiled

@@ -5,18 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Registers the checked-in compiled modules (one per shipped grammar in
-/// grammars/) with the compiled-grammar registry. Hand-written on purpose:
-/// static self-registration inside an archive member gets dropped by the
-/// linker when nothing references the member, so tools opt in explicitly.
-///
-/// Regenerating a module:
-///   build/tools/llstar compile grammars/<g>.g --emit-cpp
-///       -o grammars/compiled/<g>_compiled.cpp
-/// (one command line), then add its kModule_<Name> symbol here if the
-/// grammar is new. CI
-/// regenerates every module and fails on any diff, so the checked-in
-/// tables can never silently drift from the grammar sources.
+/// Registers the compiled modules of the shipped grammars (one per grammar
+/// in grammars/, emitted by the build; the list is in CMakeLists.txt) with
+/// the compiled-grammar registry. Explicit on purpose: static
+/// self-registration inside an archive member gets dropped by the linker
+/// when nothing references the member, so tools opt in explicitly.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -41,8 +41,8 @@
 /// Every \ref AnalyzedGrammar builds its own tables (\ref
 /// AnalyzedGrammar::tables), and the one engine, \ref LLStarParser, walks
 /// them through the non-owning \ref TablesView. A native module generated
-/// by `llstar compile --emit-cpp` (see codegen/CompiledModuleEmitter.h)
-/// folds the op streams into code and runs against the same view.
+/// by `llstar-emit` (see codegen/CompiledModuleEmitter.h) folds the op
+/// streams into code and runs against the same view.
 ///
 //===----------------------------------------------------------------------===//
 

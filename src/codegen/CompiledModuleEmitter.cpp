@@ -32,6 +32,36 @@ std::string hex64(uint64_t V) {
   return OS.str();
 }
 
+/// Emits \p Bytes as a concatenation of string literals, one per line of
+/// at most ~72 source characters, breaking after each newline. Quotes and
+/// backslashes are escaped, other non-printable bytes become three-digit
+/// octal escapes (which cannot swallow a following digit).
+void emitStringLiteral(std::ostream &OS, std::string_view Bytes) {
+  size_t Col = 0;
+  OS << "\n    \"";
+  for (size_t I = 0; I < Bytes.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(Bytes[I]);
+    if (C == '\n') {
+      OS << "\\n";
+    } else if (C == '"' || C == '\\') {
+      OS << '\\' << char(C);
+      Col += 2;
+    } else if (C < 0x20 || C >= 0x7f) {
+      OS << '\\' << char('0' + (C >> 6)) << char('0' + ((C >> 3) & 7))
+         << char('0' + (C & 7));
+      Col += 4;
+    } else {
+      OS << char(C);
+      ++Col;
+    }
+    if ((C == '\n' || Col >= 72) && I + 1 < Bytes.size()) {
+      OS << "\"\n    \"";
+      Col = 0;
+    }
+  }
+  OS << "\"";
+}
+
 /// Emits `const <Type> kName[] = { ... };` with ~16 values per line, via
 /// \p Each writing one element. \p Count == 0 emits a single zero element
 /// (C++ forbids empty arrays); consumers never dereference zero-count
@@ -326,24 +356,22 @@ void emitNativeRule(std::ostream &OS, const TablesView &V, int32_t R,
 
 } // namespace
 
-EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
-  EmittedCompiledModule Out;
+std::string llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
   std::string Name = AG.grammar().Name;
-  std::string Ident = sanitizeIdent(Name);
-  Out.SymbolName = "kModule_" + Ident;
-  Out.NumDecisions = int32_t(AG.numDecisions());
+  std::string Symbol = "kModule_" + sanitizeIdent(Name);
+  int32_t NumDecisions = int32_t(AG.numDecisions());
 
   const TablesView &V = AG.tables().view();
-  uint64_t Hash = hashPayload(serializeGrammar(AG));
+  std::string Payload = serializeGrammar(AG);
+  uint64_t Hash = hashPayload(Payload);
 
   std::ostringstream OS;
   OS << "//===- " << Name
      << "_compiled.cpp - Compiled grammar module ------*- C++ -*-===//\n"
      << "//\n"
-     << "// GENERATED by `llstar compile --emit-cpp` from grammar '" << Name
+     << "// GENERATED by llstar-emit from grammar '" << Name
      << "'. DO NOT EDIT:\n"
-     << "// regenerate with that command (CI diffs this file against a "
-        "fresh run).\n"
+     << "// the build regenerates it from the grammar.\n"
      << "//\n"
      << "// payload-hash: " << hex64(Hash) << "\n"
      << "//\n"
@@ -356,16 +384,15 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
      << "namespace {\n\n";
 
   // --- Native predictors --------------------------------------------------
-  std::vector<bool> HasNative(size_t(Out.NumDecisions), false);
-  for (int32_t D = 0; D < Out.NumDecisions; ++D) {
+  std::vector<bool> HasNative(size_t(NumDecisions), false);
+  for (int32_t D = 0; D < NumDecisions; ++D) {
     const LookaheadDfa &Dfa = AG.dfa(D);
     if (!isNativeEligible(Dfa))
       continue;
     HasNative[size_t(D)] = true;
-    ++Out.NumNativePredictors;
     emitNativePredictor(OS, Dfa, D);
   }
-  emitArray(OS, "NativePredictFn", "kNative", size_t(Out.NumDecisions), 4,
+  emitArray(OS, "NativePredictFn", "kNative", size_t(NumDecisions), 4,
             [&](std::ostream &O, size_t I) {
               if (HasNative[I])
                 O << "&Predict" << I;
@@ -375,30 +402,31 @@ EmittedCompiledModule llstar::emitCompiledModule(const AnalyzedGrammar &AG) {
   OS << "\n";
 
   // --- Native rule bodies -------------------------------------------------
-  Out.NumRules = V.NumRules;
-  std::ostringstream RuleOS;
-  for (int32_t R = 0; R < V.NumRules; ++R) {
-    emitNativeRule(RuleOS, V, R, AG.grammar().rule(R).Name, HasNative);
-    ++Out.NumNativeRules;
-  }
-  OS << RuleOS.str();
+  for (int32_t R = 0; R < V.NumRules; ++R)
+    emitNativeRule(OS, V, R, AG.grammar().rule(R).Name, HasNative);
   emitArray(OS, "NativeRuleFn", "kNativeRules", size_t(V.NumRules), 4,
             [&](std::ostream &O, size_t I) { O << "&Rule" << I; });
   OS << "\n";
 
+  // --- The serialized grammar ---------------------------------------------
+  OS << "// serializeGrammar() output; hashes to the module's PayloadHash.\n"
+     << "const char kPayload[] =";
+  emitStringLiteral(OS, Payload);
+  OS << ";\n\n";
+
   OS << "} // namespace\n\n";
 
   // --- The module object --------------------------------------------------
-  OS << "extern const CompiledGrammarModule " << Out.SymbolName << ";\n"
-     << "const CompiledGrammarModule " << Out.SymbolName << " = {\n"
+  OS << "extern const CompiledGrammarModule " << Symbol << ";\n"
+     << "const CompiledGrammarModule " << Symbol << " = {\n"
      << "    /*GrammarName=*/\"" << Name << "\",\n"
      << "    /*PayloadHash=*/" << hex64(Hash) << ",\n"
      << "    /*Native=*/kNative,\n"
      << "    /*Rules=*/kNativeRules,\n"
+     << "    /*Payload=*/{kPayload, sizeof(kPayload) - 1},\n"
      << "};\n\n"
      << "} // namespace compiled\n"
      << "} // namespace llstar\n";
 
-  Out.Source = OS.str();
-  return Out;
+  return OS.str();
 }

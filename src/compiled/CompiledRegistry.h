@@ -6,23 +6,24 @@
 ///
 /// \file
 /// The conformance-gated registry of native grammar modules, the optional
-/// accelerator of \ref LLStarParser. `llstar compile --emit-cpp` turns a
-/// grammar into a self-contained C++ module holding generated switch
-/// predictors for its predicate-free decisions and generated rule bodies;
-/// the module registers itself here under the grammar's name plus the
-/// FNV-1a hash of its serialized analysis payload. A module carries no
-/// parser or lexer tables: its generated code runs against the tables the
-/// grammar's own analysis built (\ref AnalyzedGrammar::tables), and input
-/// is tokenized by the grammar's own \ref Lexer.
+/// accelerator of \ref LLStarParser. The `llstar-emit` executable (run by
+/// the build) turns a grammar into a self-contained C++ module holding
+/// generated switch predictors for its predicate-free decisions, generated
+/// rule bodies and the grammar's serialized payload; the module registers
+/// here under the grammar's name plus the FNV-1a hash of that payload. A
+/// module carries no parser or lexer tables: its generated code runs
+/// against the tables the grammar's own analysis built
+/// (\ref AnalyzedGrammar::tables), and input is tokenized by the grammar's
+/// own \ref Lexer.
 ///
 /// The hash is the gate: \ref resolveCompiledTables only serves a module
 /// when the payload hash of the grammar just loaded matches the hash the
 /// module was generated from, so every state id, decision number and set
 /// index folded into the generated code names the same entry of those
-/// tables. A stale module (grammar edited after the last `--emit-cpp` run)
-/// is skipped: the parser walks the same tables without the generated code.
-/// CI additionally fails the build when regenerating a module produces a
-/// diff, so shipped modules cannot go stale unnoticed.
+/// tables. A module generated from another version of the grammar is
+/// skipped: the parser walks the same tables without the generated code.
+/// The build regenerates the shipped modules from grammars/*.g, so they
+/// match the grammars they ship with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,6 +59,10 @@ struct CompiledGrammarModule {
   /// token label folded to a constant), or null to fall back to the table
   /// walk. Null when none were generated.
   const NativeRuleFn *Rules = nullptr;
+  /// The serializeGrammar() output the module was generated from
+  /// (hashPayload(Payload) == PayloadHash): \ref deserializeGrammar loads
+  /// it without grammar analysis.
+  std::string_view Payload;
 };
 
 /// FNV-1a over \p Bytes; the hash \ref CompiledGrammarModule::PayloadHash
@@ -95,6 +100,8 @@ struct CompiledResolution {
 /// Resolves the module for \p AG. \p SerializedPayload is the output of
 /// serializeGrammar(AG) (the caller computes it because this library must
 /// not depend on the serializer); pass empty to skip the module lookup.
+/// Serializing costs about as much as loading the grammar, so callers
+/// serialize only when \ref findCompiledModule finds a module by name.
 CompiledResolution resolveCompiledTables(const AnalyzedGrammar &AG,
                                          std::string_view SerializedPayload);
 

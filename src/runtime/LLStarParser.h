@@ -33,8 +33,8 @@
 ///      state walk of a rule with goto-threaded code that calls back into
 ///      this class's public primitives for everything observable.
 ///
-/// Layers 2 and 3 come from a native module generated by `llstar compile
-/// --emit-cpp` (see compiled/CompiledRegistry.h), served only when its
+/// Layers 2 and 3 come from a native module that the build generates with
+/// `llstar-emit` (see compiled/CompiledRegistry.h), served only when its
 /// payload hash matches the grammar. Trees, diagnostics, recovery and
 /// ParserStats do not depend on which layers run; CompiledConformanceTests
 /// holds the shipped modules to that.

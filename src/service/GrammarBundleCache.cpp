@@ -39,11 +39,14 @@ llstar::makeGrammarBundle(std::string_view Bytes, DiagnosticEngine &Diags) {
 
 const compiled::CompiledResolution &GrammarBundle::compiledTables() const {
   std::call_once(CompiledOnce, [this] {
-    // The serialized payload keys the module-registry hash gate; one
-    // serialization per bundle, amortized over every request, over the
-    // lexer the bundle already holds.
-    Compiled =
-        compiled::resolveCompiledTables(*AG, serializeGrammar(*AG, *Lex));
+    // The serialized payload keys the module-registry hash gate: at most
+    // one serialization per bundle, amortized over every request, over the
+    // lexer the bundle already holds, and none when no module carries the
+    // grammar's name.
+    std::string Payload;
+    if (compiled::findCompiledModule(AG->grammar().Name))
+      Payload = serializeGrammar(*AG, *Lex);
+    Compiled = compiled::resolveCompiledTables(*AG, Payload);
   });
   return Compiled;
 }

@@ -80,7 +80,9 @@ struct ServiceConfig {
   bool AutoStart = true;
   /// Use the registered native module when its payload hash matches (see
   /// compiled/CompiledRegistry.h). Results are identical either way; only
-  /// throughput changes.
+  /// throughput changes. Every tool sets it; the field stays only because
+  /// the perfbench package sets it per workload (true for validate-data,
+  /// false for parse-code, which measures the table walk alone).
   bool UseCompiled = false;
 };
 

@@ -1,6 +1,6 @@
 //===- tests/CodegenTests.cpp - Serialization and code generation ---------===//
 //
-// Round-trip tests for the compiled-grammar format and the generated C++
+// Round-trip tests for the compiled-grammar format and the emitted native
 // module: a deserialized grammar must lex, predict, and parse exactly like
 // the freshly analyzed one — including backtracking grammars with
 // predicate edges and precedence-rewritten rules.
@@ -8,7 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
-#include "codegen/CppGenerator.h"
+#include "codegen/CompiledModuleEmitter.h"
 #include "codegen/Serializer.h"
 
 #include <gtest/gtest.h>
@@ -144,31 +144,76 @@ TEST(Codegen, CorruptBlobsRejected) {
   EXPECT_TRUE(D2.hasErrors());
 }
 
+/// The bytes of the string-literal concatenation that initializes
+/// \p Array in emitted source \p Source, with the emitter's escapes
+/// (newline, quote, backslash, three-digit octal) undone.
+std::string literalBytes(const std::string &Source,
+                         const std::string &Array) {
+  size_t Pos = Source.find("const char " + Array + "[] =");
+  if (Pos == std::string::npos)
+    return "";
+  size_t End = Source.find(";\n", Pos);
+  std::string Bytes;
+  bool InLiteral = false;
+  for (size_t I = Pos; I < End; ++I) {
+    char C = Source[I];
+    if (C == '"') {
+      InLiteral = !InLiteral;
+    } else if (InLiteral && C == '\\') {
+      char E = Source[++I];
+      if (E == 'n') {
+        Bytes += '\n';
+      } else if (E >= '0' && E <= '7') {
+        Bytes += char((E - '0') * 64 + (Source[I + 1] - '0') * 8 +
+                      (Source[I + 2] - '0'));
+        I += 2;
+      } else {
+        Bytes += E;
+      }
+    } else if (InLiteral) {
+      Bytes += C;
+    }
+  }
+  return Bytes;
+}
+
 TEST(Codegen, GeneratedCppShape) {
-  auto AG = analyzeOrFail(R"(
+  const char *Text = R"(
 grammar Calc;
 e : t ('+' t)* ;
-t : INT ;
+t : INT | '"' '\\' ;
 INT : [0-9]+ ;
 WS : [ ]+ -> skip ;
-)");
+)";
+  auto AG = analyzeOrFail(Text);
   ASSERT_TRUE(AG);
-  GeneratedParser P = generateCppParser(*AG, "CalcParser");
+  std::string Source = emitCompiledModule(*AG);
 
-  EXPECT_NE(P.Header.find("class CalcParser"), std::string::npos);
-  EXPECT_NE(P.Header.find("RULE_e = 0"), std::string::npos);
-  EXPECT_NE(P.Header.find("RULE_t = 1"), std::string::npos);
-  EXPECT_NE(P.Header.find("TOK_INT"), std::string::npos);
-  EXPECT_NE(P.Header.find("LIT_plus ="), std::string::npos);
-  EXPECT_NE(P.Header.find("namespace calcparser"), std::string::npos);
+  // One generated body per rule, named after it, and the module object.
+  EXPECT_NE(Source.find("bool Rule0(LLStarParser &P, NodeRef Parent) { // e"),
+            std::string::npos);
+  EXPECT_NE(Source.find("bool Rule1(LLStarParser &P, NodeRef Parent) { // t"),
+            std::string::npos);
+  EXPECT_NE(Source.find("const CompiledGrammarModule kModule_Calc = {"),
+            std::string::npos);
+  EXPECT_NE(Source.find("/*Payload=*/{kPayload, sizeof(kPayload) - 1},"),
+            std::string::npos);
 
-  EXPECT_NE(P.Source.find("kGrammarTables"), std::string::npos);
-  EXPECT_NE(P.Source.find("deserializeGrammar"), std::string::npos);
-  // The blob embedded in the source must round-trip after C++ string
-  // escaping: extract is hard, so instead verify the raw blob loads.
+  // The embedded payload, read back through the C++ escaping, is the
+  // grammar's serialization and loads without analysis.
+  std::string Payload = serializeGrammar(*AG);
+  EXPECT_NE(Payload.find("\\"), std::string::npos) << "escapes exercised";
+  EXPECT_EQ(literalBytes(Source, "kPayload"), Payload);
   DiagnosticEngine Diags;
-  EXPECT_NE(deserializeGrammar(serializeGrammar(*AG), Diags), nullptr)
-      << Diags.str();
+  auto CG = deserializeGrammar(literalBytes(Source, "kPayload"), Diags);
+  ASSERT_NE(CG, nullptr) << Diags.str();
+  EXPECT_EQ(CG->AG->grammar().findRule("t"), 1);
+  expectRoundTripParse(*AG, Text, "1 + 2 + 3", "e");
+
+  // Emission is deterministic, across separate analyses too.
+  auto Again = analyzeOrFail(Text);
+  ASSERT_TRUE(Again);
+  EXPECT_EQ(emitCompiledModule(*Again), Source);
 }
 
 TEST(Codegen, RoundTripSemanticPredicates) {

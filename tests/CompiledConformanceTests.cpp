@@ -15,10 +15,11 @@
 //   - Against the recovery golden snapshots of the shipped grammars
 //     (tests/golden/recovery/*.txt), heap and arena trees both, with and
 //     without the native module.
-//   - Through the checked-in native modules: every shipped grammar must
-//     hash-match its registered module (stale modules fail here *and* in
-//     the CI regen-diff gate), and parses through the module's native
-//     predictors and rule bodies must match the table walk alone.
+//   - Through the native modules the build emits: every shipped grammar
+//     must hash-match its registered module, whose embedded payload is the
+//     grammar's serialization; emission is deterministic; and parses
+//     through the module's native predictors and rule bodies must match
+//     the table walk alone.
 //   - Through every AnalyzedGrammar construction path: analyze, fromParts,
 //     deserializeGrammar and bundle bytes all carry tables and parse alike.
 //
@@ -27,6 +28,7 @@
 #include "TestHelpers.h"
 #include "analysis/DecisionAnalyzer.h"
 #include "atn/ATNBuilder.h"
+#include "codegen/CompiledModuleEmitter.h"
 #include "codegen/Serializer.h"
 #include "compiled/CompiledRegistry.h"
 #include "fuzz/SentenceGen.h"
@@ -318,9 +320,9 @@ compiled::CompiledResolution shippedModule(const AnalyzedGrammar &AG) {
       compiled::resolveCompiledTables(AG, serializeGrammar(AG));
   const std::string &Name = AG.grammar().Name;
   EXPECT_TRUE(Res.fromModule())
-      << "stale compiled module for " << Name
-      << "; regenerate with: llstar compile grammars/" << Name
-      << ".g --emit-cpp -o grammars/compiled/" << Name << "_compiled.cpp";
+      << "no registered module of " << Name
+      << " matches its grammar's payload hash; the build emits it from "
+         "grammars/*.g (grammars/compiled/CMakeLists.txt)";
   return Res;
 }
 
@@ -348,10 +350,24 @@ TEST(CompiledConformance, GoldenRecoveredTreesMatchSnapshots) {
 }
 
 //===----------------------------------------------------------------------===//
-// Checked-in module registry
+// Shipped module registry
 //===----------------------------------------------------------------------===//
 
 TEST(CompiledConformance, ShippedModulesHashMatchAndAgree) {
+  // Every shipped module has a golden case, hence a grammar file.
+  compiled::registerShippedGrammars();
+  for (const compiled::CompiledGrammarModule *M :
+       compiled::compiledModules()) {
+    std::string File = M->GrammarName;
+    std::transform(File.begin(), File.end(), File.begin(),
+                   [](unsigned char C) { return char(std::tolower(C)); });
+    EXPECT_TRUE(std::any_of(std::begin(GoldenCases), std::end(GoldenCases),
+                            [&](const GoldenCase &C) {
+                              return File == C.Grammar;
+                            }))
+        << M->GrammarName << " has no golden case";
+  }
+
   for (const GoldenCase &C : GoldenCases) { // one entry per shipped grammar
     SCOPED_TRACE(C.Grammar);
     auto AG = shippedGrammar(C.Grammar);
@@ -361,6 +377,16 @@ TEST(CompiledConformance, ShippedModulesHashMatchAndAgree) {
     ASSERT_TRUE(Res.fromModule());
     EXPECT_NE(Res.Native, nullptr);
     EXPECT_NE(Res.Rules, nullptr);
+
+    // The hash, the embedded payload and the grammar file agree, and
+    // emission is deterministic: a second analysis of the grammar emits
+    // byte-identical source.
+    const compiled::CompiledGrammarModule &M = *Res.Module;
+    EXPECT_EQ(M.PayloadHash, compiled::hashPayload(M.Payload));
+    EXPECT_EQ(M.Payload, serializeGrammar(*AG));
+    auto Again = shippedGrammar(C.Grammar);
+    ASSERT_TRUE(Again);
+    EXPECT_EQ(emitCompiledModule(*AG), emitCompiledModule(*Again));
 
     // Decision-covering minimal sentences (guaranteed valid, so the
     // generated predictors all run hot).
@@ -418,8 +444,8 @@ TEST(CompiledConformance, HashGateRejectsStaleModules) {
       compiled::findCompiledModule(AG->grammar().Name);
   ASSERT_NE(M, nullptr);
 
-  // A module whose payload hash disagrees (a grammar edited after its last
-  // --emit-cpp run) must be skipped: no native code. The tables are the
+  // A module whose payload hash disagrees (generated from another version
+  // of the grammar) must be skipped: no native code. The tables are the
   // grammar's own either way.
   static compiled::CompiledGrammarModule Stale;
   Stale = *M;
@@ -443,6 +469,24 @@ TEST(CompiledConformance, HashGateRejectsStaleModules) {
   EXPECT_FALSE(Res.fromModule());
 }
 
+TEST(CompiledConformance, GrammarWithoutModuleWalksItsOwnTables) {
+  // No module carries this grammar's name, so the bundle resolves to its
+  // own tables and no generated code (without serializing the grammar).
+  compiled::registerShippedGrammars();
+  DiagnosticEngine Diags;
+  auto Bundle = makeGrammarBundle(
+      "grammar NoModule; s : ID+ ; ID : [a-z]+ ; WS : [ ]+ -> skip ;", Diags);
+  ASSERT_TRUE(Bundle) << Diags.str();
+  EXPECT_EQ(compiled::findCompiledModule("NoModule"), nullptr);
+  const compiled::CompiledResolution &Res = Bundle->compiledTables();
+  EXPECT_FALSE(Res.fromModule());
+  EXPECT_EQ(Res.View.Ops, Bundle->analyzed().tables().view().Ops);
+  EXPECT_EQ(Res.native().Predict, nullptr);
+  EXPECT_EQ(Res.native().Rules, nullptr);
+  Capture Walk = capture(Bundle->analyzed(), "a b c", /*Recover=*/false);
+  EXPECT_TRUE(Walk.Ok);
+}
+
 TEST(CompiledConformance, SetOpsModuleMatchesTableWalk) {
   // Generated bodies test Set ops (`~X`, `~(A|B)`, `.`) against the
   // tables' bitsets; matches, mismatches and repairs must all agree with
@@ -451,6 +495,7 @@ TEST(CompiledConformance, SetOpsModuleMatchesTableWalk) {
   ASSERT_TRUE(AG);
   const compiled::CompiledGrammarModule &M = compiled::kModule_SetOps;
   ASSERT_EQ(M.PayloadHash, compiled::hashPayload(serializeGrammar(*AG)));
+  EXPECT_EQ(M.PayloadHash, compiled::hashPayload(M.Payload));
   EXPECT_NE(slurp(LLSTAR_SETOPS_MODULE).find("setContains("),
             std::string::npos);
   const char *Inputs[] = {

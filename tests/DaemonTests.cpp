@@ -6,8 +6,8 @@
 // must be byte-identical to in-process ParseService results — trees,
 // diagnostics, structured recovery errors, and the stats JSON (modulo the
 // wall-clock parseMillis fields) — across the fuzz-grammar corpus with
-// and without `--compiled` (the parameter names keep the engines' old
-// names). The rest pins down the daemon's
+// and without ServiceConfig::UseCompiled (the parameter names keep the
+// engines' old names). The rest pins down the daemon's
 // concurrency contracts deterministically: request-id pipelining with
 // out-of-order completion, per-connection and queue backpressure, graceful
 // drain, version negotiation, and robustness against garbage bytes. All of

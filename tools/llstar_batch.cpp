@@ -53,9 +53,6 @@ int usage() {
       "  --recover         parse with error recovery: syntax errors come\n"
       "                    back as partial trees (status `recovered`, not\n"
       "                    failures)\n"
-      "  --compiled        use the registered native module when its\n"
-      "                    payload hash matches (identical results, higher\n"
-      "                    throughput)\n"
       "  --json-metrics F  write merged service metrics JSON to F (- = stdout)\n"
       "  --stats-out F     write a decision-keyed parse profile to F, the\n"
       "                    merged ParserStats of every worker with stable\n"
@@ -64,9 +61,6 @@ int usage() {
       "  --edit-script F   incremental mode: replay the JSON edit trace F\n"
       "                    against one incremental session (single .g\n"
       "                    grammar; inputs come from the trace, not operands).\n"
-      "                    The session runs the grammar's hash-matched\n"
-      "                    native module when one is registered, so\n"
-      "                    --compiled changes nothing here.\n"
       "                    Prints per-batch timing plus reuse counters;\n"
       "                    --json-metrics then reports the session's parser\n"
       "                    stats (nodesReused / tokensRelexed /\n"
@@ -127,7 +121,6 @@ struct Options {
   std::string StartRule;
   bool Trees = false;
   bool Recover = false;
-  bool UseCompiled = false;
   std::string JsonMetrics;
   std::string StatsOut;
   std::string EditScriptPath;
@@ -278,8 +271,6 @@ int main(int Argc, char **Argv) {
       O.Trees = true;
     else if (A == "--recover")
       O.Recover = true;
-    else if (A == "--compiled")
-      O.UseCompiled = true;
     else if (A == "--json-metrics" && I + 1 < Args.size())
       O.JsonMetrics = Args[++I];
     else if (A == "--stats-out" && I + 1 < Args.size())
@@ -301,6 +292,10 @@ int main(int Argc, char **Argv) {
     return usage();
   if (O.InputOperands.empty() && O.Sample <= 0 && O.EditScriptPath.empty())
     return usage();
+
+  // Parses and edit sessions run a shipped grammar's native module when
+  // its payload hash matches.
+  compiled::registerShippedGrammars();
 
   // Load grammar bundles through the shared cache.
   GrammarBundleCache Cache;
@@ -346,7 +341,6 @@ int main(int Argc, char **Argv) {
                    "error: --edit-script needs exactly one grammar\n");
       return 2;
     }
-    compiled::registerShippedGrammars();
     return runEditScript(Bundles.front(), O);
   }
 
@@ -395,9 +389,7 @@ int main(int Argc, char **Argv) {
   Config.QueueCapacity = O.Queue;
   Config.MaxTokens = O.MaxTokens;
   Config.DefaultDeadline = std::chrono::milliseconds(O.DeadlineMs);
-  Config.UseCompiled = O.UseCompiled;
-  if (O.UseCompiled)
-    compiled::registerShippedGrammars();
+  Config.UseCompiled = true;
   ParseService Service(Config);
 
   auto Start = std::chrono::steady_clock::now();

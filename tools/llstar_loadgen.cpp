@@ -53,8 +53,6 @@ int usage() {
       "  --recover         issue ParseRecover instead of Parse\n"
       "  --trees           request parse trees\n"
       "  --threads N       daemon worker threads (--spawn only)\n"
-      "  --compiled        daemon uses the registered native module when\n"
-      "                    its payload hash matches (--spawn only)\n"
       "  --edit-mix R      percent of each connection's requests issued as\n"
       "                    incremental Edit ops against a per-connection\n"
       "                    session (0-100, default 0) — exercises the\n"
@@ -90,7 +88,6 @@ struct Options {
   bool Recover = false;
   bool Trees = false;
   int Threads = 0;
-  bool UseCompiled = false;
   int EditMix = 0; ///< percent of requests issued as Edit ops
   std::string JsonPath;
   std::string StatsOut;
@@ -325,8 +322,6 @@ int main(int Argc, char **Argv) {
       O.Trees = true;
     else if (A == "--threads" && Value(V))
       O.Threads = int(V);
-    else if (A == "--compiled")
-      O.UseCompiled = true;
     else if (A == "--edit-mix" && Value(V))
       O.EditMix = int(std::clamp<int64_t>(V, 0, 100));
     else if (A == "--json" && I + 1 < Args.size())
@@ -383,9 +378,10 @@ int main(int Argc, char **Argv) {
   if (O.Spawn) {
     DaemonConfig Config;
     Config.Service.Threads = O.Threads;
-    Config.Service.UseCompiled = O.UseCompiled;
-    if (O.UseCompiled)
-      compiled::registerShippedGrammars();
+    // The spawned daemon runs like llstard: a shipped grammar's native
+    // module serves requests when its payload hash matches.
+    Config.Service.UseCompiled = true;
+    compiled::registerShippedGrammars();
     Local = std::make_unique<Daemon>(Config);
     std::string Error;
     if (!Local->start(&Error)) {
@@ -502,7 +498,6 @@ int main(int Argc, char **Argv) {
          << ",\"connections\":" << O.Connections
          << ",\"pipeline\":" << O.Pipeline
          << ",\"daemonThreads\":" << DaemonThreads
-         << ",\"compiled\":" << (O.UseCompiled ? "true" : "false")
          << ",\"recover\":" << (O.Recover ? "true" : "false")
          << ",\"editMix\":" << O.EditMix
          << ",\"seconds\":" << Seconds << ",\"requestsPerSec\":"

@@ -33,8 +33,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AnalyzedGrammar.h"
-#include "codegen/CompiledModuleEmitter.h"
-#include "codegen/CppGenerator.h"
 #include "codegen/Serializer.h"
 #include "compiled/CompiledRegistry.h"
 #include "CompiledManifest.h"
@@ -86,23 +84,16 @@ void printUsage(std::FILE *Out) {
       "      tokenize an input file with the grammar's lexer rules\n"
       "  parse <grammar.g> <input> [--start <rule>]\n"
       "        [--tree] [--stats] [--stats-json] [--peg] [--no-memoize]\n"
-      "        [--recover] [--compiled]\n"
-      "      parse an input file; --peg uses the packrat baseline;\n"
-      "      --compiled uses the registered native module when its\n"
-      "      payload hash matches (same output and exit codes, faster);\n"
+      "        [--recover]\n"
+      "      parse an input file (the LL(*) parser runs a shipped\n"
+      "      grammar's native module when its payload hash matches);\n"
+      "      --peg uses the packrat baseline;\n"
       "      --stats-json prints the full ParserStats as JSON;\n"
       "      --recover repairs syntax errors (error leaves in the tree,\n"
       "      sorted diagnostics) and exits 0 instead of 2 (1 with --werror)\n"
       "  compile <grammar.g> -o <out.llb>\n"
       "      analyze once and write a versioned grammar bundle that\n"
       "      llstar-batch and the ParseService load without re-analysis\n"
-      "  compile <grammar.g> --emit-cpp -o <out.cpp>\n"
-      "      emit a self-contained native module: switch predictors\n"
-      "      and rule bodies that accelerate the parser\n"
-      "      (see grammars/compiled/ for the checked-in registry)\n"
-      "  generate <grammar.g> <ClassName> [-o <dir>]\n"
-      "      emit <dir>/<ClassName>.h/.cpp embedding the precompiled\n"
-      "      grammar tables (link against the llstar runtime)\n"
       "  lint <grammar.g> [--format=text|json|sarif] [--werror]\n"
       "       [--budget <k>] [--dfa-budget <n>] [--profile-notes]\n"
       "       [--profile <stats.json>]... [--fixes]\n"
@@ -145,20 +136,13 @@ int subcommandHelp(const std::string &Cmd) {
         "usage: llstar parse <grammar.g> <input> [--start <rule>]\n"
         "                    [--tree] [--stats]\n"
         "                    [--stats-json] [--peg] [--no-memoize]\n"
-        "                    [--recover] [--compiled] [--werror]\n"
-        "parse an input file; --peg uses the packrat baseline, --compiled\n"
-        "uses the registered native module when its payload hash matches,\n"
-        "--recover repairs syntax errors\n";
+        "                    [--recover] [--werror]\n"
+        "parse an input file; --peg uses the packrat baseline, --recover\n"
+        "repairs syntax errors\n";
   else if (Cmd == "compile")
     Synopsis =
         "usage: llstar compile <grammar.g> -o <out.llb>\n"
-        "       llstar compile <grammar.g> --emit-cpp -o <out.cpp>\n"
-        "write a versioned grammar bundle or emit a self-contained C++\n"
-        "module\n";
-  else if (Cmd == "generate")
-    Synopsis =
-        "usage: llstar generate <grammar.g> <ClassName> [-o <dir>]\n"
-        "emit <dir>/<ClassName>.h/.cpp embedding the precompiled tables\n";
+        "write a versioned grammar bundle\n";
   else if (Cmd == "lint")
     Synopsis =
         "usage: llstar lint <grammar.g> [--format=text|json|sarif] [--werror]\n"
@@ -310,8 +294,7 @@ int cmdParse(const std::vector<std::string> &Args) {
 
   std::string Start;
   bool ShowTree = false, ShowStats = false, StatsJson = false,
-       UsePeg = false, Memoize = true, WError = false, Recover = false,
-       UseCompiled = false;
+       UsePeg = false, Memoize = true, WError = false, Recover = false;
   for (size_t I = 2; I < Args.size(); ++I) {
     if (Args[I] == "--start" && I + 1 < Args.size())
       Start = Args[++I];
@@ -329,23 +312,20 @@ int cmdParse(const std::vector<std::string> &Args) {
       WError = true;
     else if (Args[I] == "--recover")
       Recover = true;
-    else if (Args[I] == "--compiled")
-      UseCompiled = true;
     else
       return usage();
   }
   if (Recover && UsePeg)
     return usage(); // the packrat baseline has no error recovery
-  if (UseCompiled && UsePeg)
-    return usage(); // native modules accelerate the LL(*) parser only
 
   DiagnosticEngine LexDiags;
   Lexer L(AG->grammar().lexerSpec(), LexDiags);
+  // A shipped grammar's native module accelerates the LL(*) parser when
+  // its payload hash matches; serialize only when one carries the name.
+  compiled::registerShippedGrammars();
   compiled::CompiledResolution Compiled;
-  if (UseCompiled) {
-    compiled::registerShippedGrammars();
+  if (!UsePeg && compiled::findCompiledModule(AG->grammar().Name))
     Compiled = compiled::resolveCompiledTables(*AG, serializeGrammar(*AG, L));
-  }
 
   TokenStream Stream(L.tokenize(Input, LexDiags));
   printDiags(LexDiags);
@@ -414,14 +394,12 @@ int cmdCompile(const std::vector<std::string> &Args) {
   if (Args.empty())
     return usage();
   std::string OutPath;
-  bool WError = false, EmitCpp = false;
+  bool WError = false;
   for (size_t I = 1; I < Args.size(); ++I) {
     if (Args[I] == "-o" && I + 1 < Args.size())
       OutPath = Args[++I];
     else if (Args[I] == "--werror")
       WError = true;
-    else if (Args[I] == "--emit-cpp")
-      EmitCpp = true;
     else
       return usage();
   }
@@ -431,21 +409,6 @@ int cmdCompile(const std::vector<std::string> &Args) {
   auto AG = loadGrammar(Args[0], &Warnings);
   if (!AG)
     return ExitErrors;
-  if (EmitCpp) {
-    EmittedCompiledModule Module = emitCompiledModule(*AG);
-    std::ofstream Out(OutPath, std::ios::binary);
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write %s\n", OutPath.c_str());
-      return ExitErrors;
-    }
-    Out << Module.Source;
-    std::printf("wrote %s (%zu bytes, %s, %d/%d decisions native, "
-                "%d/%d rules native)\n",
-                OutPath.c_str(), Module.Source.size(),
-                Module.SymbolName.c_str(), Module.NumNativePredictors,
-                Module.NumDecisions, Module.NumNativeRules, Module.NumRules);
-    return WError && Warnings ? ExitWarnings : ExitClean;
-  }
   std::string Bundle = writeBundle(*AG);
   std::ofstream Out(OutPath, std::ios::binary);
   if (!Out) {
@@ -456,35 +419,6 @@ int cmdCompile(const std::vector<std::string> &Args) {
   std::printf("wrote %s (%zu bytes, format v%lld)\n", OutPath.c_str(),
               Bundle.size(), (long long)BundleFormatVersion);
   return WError && Warnings ? ExitWarnings : ExitClean;
-}
-
-int cmdGenerate(const std::vector<std::string> &Args) {
-  if (Args.size() < 2)
-    return usage();
-  auto AG = loadGrammar(Args[0]);
-  if (!AG)
-    return ExitErrors;
-  std::string ClassName = Args[1];
-  std::string Dir = ".";
-  for (size_t I = 2; I < Args.size(); ++I) {
-    if (Args[I] == "-o" && I + 1 < Args.size())
-      Dir = Args[++I];
-    else
-      return usage();
-  }
-  GeneratedParser P = generateCppParser(*AG, ClassName);
-  for (auto [Suffix, Contents] :
-       {std::make_pair(".h", &P.Header), std::make_pair(".cpp", &P.Source)}) {
-    std::string Path = Dir + "/" + ClassName + Suffix;
-    std::ofstream Out(Path);
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
-      return ExitErrors;
-    }
-    Out << *Contents;
-    std::printf("wrote %s (%zu bytes)\n", Path.c_str(), Contents->size());
-  }
-  return ExitClean;
 }
 
 int cmdLint(const std::vector<std::string> &Args) {
@@ -684,7 +618,7 @@ int main(int Argc, char **Argv) {
     return ExitClean;
   }
   bool Known = Cmd == "analyze" || Cmd == "tokens" || Cmd == "parse" ||
-               Cmd == "compile" || Cmd == "generate" || Cmd == "lint";
+               Cmd == "compile" || Cmd == "lint";
   if (Known && wantsHelp(Args))
     return subcommandHelp(Cmd);
   if (Cmd == "analyze")
@@ -695,8 +629,6 @@ int main(int Argc, char **Argv) {
     return cmdParse(Args);
   if (Cmd == "compile")
     return cmdCompile(Args);
-  if (Cmd == "generate")
-    return cmdGenerate(Args);
   if (Cmd == "lint")
     return cmdLint(Args);
   return usage();

@@ -43,8 +43,6 @@ int usage() {
       "  --deadline-ms D   default per-request parse deadline\n"
       "  --max-tokens N    reject inputs longer than N tokens\n"
       "  --max-inflight N  per-connection pipeline cap (default 256)\n"
-      "  --compiled        use the registered native module when its\n"
-      "                    payload hash matches\n"
       "  --once-drained    exit once a client sends the Drain opcode\n");
   return 2;
 }
@@ -104,8 +102,6 @@ int main(int Argc, char **Argv) {
       Config.Service.MaxTokens = V;
     else if (A == "--max-inflight" && Value(V))
       Config.MaxInFlightPerConn = size_t(std::max<int64_t>(V, 1));
-    else if (A == "--compiled")
-      Config.Service.UseCompiled = true;
     else if (A == "--once-drained")
       OnceDrained = true;
     else if (!A.empty() && A[0] == '-')
@@ -114,8 +110,10 @@ int main(int Argc, char **Argv) {
       GrammarPaths.push_back(A);
   }
 
-  if (Config.Service.UseCompiled)
-    compiled::registerShippedGrammars();
+  // Requests run a shipped grammar's native module when its payload hash
+  // matches.
+  Config.Service.UseCompiled = true;
+  compiled::registerShippedGrammars();
 
   Daemon Server(Config);
 
